@@ -986,7 +986,8 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-batch", type=int, default=16,
                    help="coalescer flush size")
     p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="coalescer window: max extra latency for batching")
+                   help="upper bound on the batching wait; a request with "
+                        "no concurrent traffic does not wait")
     p.add_argument("--max-pending", type=int, default=256,
                    help="admission cap; past it requests are shed")
     p.add_argument("--degrade-depth", type=int, default=None,

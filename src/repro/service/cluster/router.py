@@ -40,6 +40,7 @@ from ...core.report import _counter_from_dict
 from ...core.sharded_engine import ShardMergePlan, _rebuild_query
 from ...errors import QueryError, ReproError
 from ..admission import AdmissionController
+from ..coalescer import Coalescer
 from ..metrics import ServiceMetrics, percentile
 from ..protocol import (
     CLUSTER_OPS,
@@ -393,75 +394,6 @@ class RouterMetrics:
             return out
 
 
-class _Bucket:
-    __slots__ = ("entries", "timer")
-
-    def __init__(self):
-        self.entries: list = []
-        self.timer = None
-
-
-class _AsyncBatcher:
-    """Event-loop-native coalescer (the thread-pool Coalescer assumes a
-    blocking runner; the router's scatter-gather is a coroutine).  Same
-    policy: one bucket per (mode, top_k, path) key, flushed at
-    ``max_batch`` or when the window timer fires."""
-
-    def __init__(self, runner, max_batch: int, max_wait_ms: float,
-                 observe_batch=None):
-        self._runner = runner
-        self.max_batch = max(int(max_batch), 1)
-        self.max_wait_ms = max(float(max_wait_ms), 0.0)
-        self._observe = observe_batch
-        self._buckets: Dict[tuple, _Bucket] = {}
-        self._tasks: set = set()
-
-    def submit(self, key: tuple, request: Request) -> asyncio.Future:
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
-            if self.max_wait_ms > 0:
-                bucket.timer = loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, key, "timer"
-                )
-        bucket.entries.append((future, request))
-        if len(bucket.entries) >= self.max_batch or self.max_wait_ms <= 0:
-            self._flush(key, "size")
-        return future
-
-    def _flush(self, key: tuple, reason: str) -> None:
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        if self._observe is not None:
-            self._observe(len(bucket.entries), reason)
-        task = asyncio.ensure_future(self._run(key, bucket.entries))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _run(self, key: tuple, entries: list) -> None:
-        try:
-            outcomes = await self._runner(key, [r for _, r in entries])
-        except Exception as exc:  # defensive: the runner answers errors itself
-            outcomes = [
-                {"status": STATUS_ERROR,
-                 "error": f"{type(exc).__name__}: {exc}"}
-            ] * len(entries)
-        for (future, _), outcome in zip(entries, outcomes):
-            if not future.done():
-                future.set_result(outcome)
-
-    async def drain(self) -> None:
-        for key in list(self._buckets):
-            self._flush(key, "size")
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-
-
 class RouterService:
     """Client-facing router service (duck-typed like ``QueryService`` so
     :class:`~repro.service.server.QueryServer` binds it unchanged).
@@ -506,7 +438,7 @@ class RouterService:
             )
             for shard_id in range(cluster.num_shards)
         ]
-        self._batcher = _AsyncBatcher(
+        self.coalescer = Coalescer(
             self._run_batch,
             max_batch=self.config.max_batch if self.config.coalesce else 1,
             max_wait_ms=(
@@ -560,7 +492,7 @@ class RouterService:
                 await replica.aclose()
 
     async def drain(self) -> None:
-        await self._batcher.drain()
+        await self.coalescer.drain()
 
     def close(self) -> None:
         pass  # no worker pool: merging runs on the event loop
@@ -935,7 +867,7 @@ class RouterService:
             if request.timeout_ms is not None
             else self.config.default_timeout_ms
         )
-        submit = self._batcher.submit((mode, top_k, path), request)
+        submit = self.coalescer.submit((mode, top_k, path), request)
         try:
             if timeout_ms is not None:
                 outcome = await asyncio.wait_for(submit, timeout_ms / 1000.0)
@@ -1020,6 +952,11 @@ class RouterService:
         except WorkerError as exc:
             return [
                 {"status": STATUS_ERROR, "error": str(exc)} for _ in requests
+            ]
+        except Exception as exc:  # defensive: every query gets an answer
+            return [
+                {"status": STATUS_ERROR, "error": f"{type(exc).__name__}: {exc}"}
+                for _ in requests
             ]
 
     async def _scatter_gather(

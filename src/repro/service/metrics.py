@@ -47,6 +47,7 @@ class ServiceMetrics:
         self.batches = 0
         self.size_flushes = 0
         self.timer_flushes = 0
+        self.idle_flushes = 0
         self.topk_queries = 0
         self.topk_blocks_considered = 0
         self.topk_blocks_skipped = 0
@@ -149,13 +150,16 @@ class ServiceMetrics:
                 self.last_reselection = dict(report)
 
     def observe_batch(self, size: int, reason: str) -> None:
-        """One coalescer flush: ``reason`` is ``"size"`` or ``"timer"``."""
+        """One coalescer flush: ``reason`` is ``"idle"``, ``"size"`` or
+        ``"timer"``."""
         with self._lock:
             self.batches += 1
             if reason == "size":
                 self.size_flushes += 1
-            else:
+            elif reason == "timer":
                 self.timer_flushes += 1
+            else:
+                self.idle_flushes += 1
             if size > 1:
                 self.coalesced += size
             self._batch_sizes.append(size)
@@ -200,6 +204,7 @@ class ServiceMetrics:
                     "count": self.batches,
                     "size_flushes": self.size_flushes,
                     "timer_flushes": self.timer_flushes,
+                    "idle_flushes": self.idle_flushes,
                     "coalesced_requests": self.coalesced,
                     "mean_size": sum(sizes) / len(sizes) if sizes else 0.0,
                     "max_size": max(sizes) if sizes else 0,

@@ -15,7 +15,7 @@ Request lifecycle (one ``op: query`` line)::
                   │
                   ├─▶ degrade? (queue ≥ degrade_depth ⇒ force cheap path)
                   │
-                  └─▶ coalescer.submit ─▶ [micro-batch window] ─▶ worker pool
+                  └─▶ coalescer.submit ─▶ [batch while busy] ─▶ worker pool
                             │                    BatchExecutor / search_many
                             │  deadline fires ⇒ respond {"status": "timeout"}
                             │  (the ticket is cancelled; execution is
@@ -131,10 +131,9 @@ class QueryService:
             thread_name_prefix="repro-serve",
         )
         self.coalescer = Coalescer(
-            self._execute_batch,
+            self._run_batch,
             max_batch=self.config.max_batch if self.config.coalesce else 1,
             max_wait_ms=self.config.max_wait_ms if self.config.coalesce else 0.0,
-            pool=self.pool,
             observe_batch=self.metrics.observe_batch,
         )
 
@@ -454,6 +453,15 @@ class QueryService:
         return payload
 
     # -- batch execution (worker thread) --------------------------------
+
+    async def _run_batch(
+        self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]
+    ) -> Sequence[Optional[BatchOutcome]]:
+        """The coalescer's runner: one batch on the worker pool."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self.pool, self._execute_batch, key, tickets
+        )
 
     def _execute_batch(
         self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]

@@ -553,6 +553,23 @@ class TestRouterObservability:
             finally:
                 client.close()
 
+    def test_lone_queries_flush_idle(self, handmade_index):
+        queries = QUERIES[:4]  # distinct, so the result cache never answers
+        with running_cluster(handmade_index, 2, 1) as (_s, _g, router):
+            client = ServiceClient(*router.address)
+            try:
+                for query in queries:
+                    response = client.query(query, top_k=5)
+                    assert response["status"] == "ok"
+                batches = client.request({"op": "metrics"})["batches"]
+            finally:
+                client.close()
+        # One caller, one key: every batch goes out at the end of its
+        # loop tick, none waits for the coalescing timer.
+        assert batches["count"] == len(queries)
+        assert batches["idle_flushes"] == len(queries)
+        assert batches["timer_flushes"] == 0
+
     def test_metrics_aggregate_per_shard_latency(self, handmade_index):
         with running_cluster(handmade_index, 2, 1) as (_s, _g, router):
             client = ServiceClient(*router.address)

@@ -281,11 +281,16 @@ class TestMetrics:
         metrics.observe_shed()
         metrics.observe_batch(4, "size")
         metrics.observe_batch(1, "timer")
+        metrics.observe_batch(1, "idle")
+        metrics.observe_batch(2, "idle")
         snap = metrics.snapshot(extra={"queue_depth": 0})
         assert snap["requests"] == 2 and snap["ok"] == 1 and snap["shed"] == 1
         assert snap["cache_hits"] == 1
+        assert snap["batches"]["count"] == 4
         assert snap["batches"]["size_flushes"] == 1
-        assert snap["batches"]["coalesced_requests"] == 4
+        assert snap["batches"]["timer_flushes"] == 1  # only timer expiries
+        assert snap["batches"]["idle_flushes"] == 2
+        assert snap["batches"]["coalesced_requests"] == 6
         assert snap["queue_depth"] == 0
 
 
@@ -293,105 +298,219 @@ class TestMetrics:
 # Coalescer
 
 
+def executor_runner(execute):
+    """``QueryService``'s runner shape: the blocking batch on a thread pool."""
+
+    async def run(key, items):
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, execute, key, items)
+
+    return run
+
+
+def coroutine_runner(execute):
+    """The router's runner shape: the batch is answered on the event loop."""
+
+    async def run(key, items):
+        await asyncio.sleep(0)
+        return execute(key, items)
+
+    return run
+
+
+RUNNERS = (executor_runner, coroutine_runner)
+
+
 class TestCoalescer:
+    """Every case runs under both runner shapes the servers use."""
+
     def test_flush_on_size(self):
-        batches = []
+        for runner in RUNNERS:
+            batches = []
 
-        def execute(key, items):
-            batches.append(list(items))
-            return [item * 10 for item in items]
+            def execute(key, items):
+                batches.append(list(items))
+                return [item * 10 for item in items]
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=3, max_wait_ms=10_000)
-            results = await asyncio.gather(
-                *(coalescer.submit("k", i) for i in (1, 2, 3))
-            )
-            await coalescer.drain()
-            return results
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute), max_batch=3, max_wait_ms=10_000
+                )
+                results = await asyncio.gather(
+                    *(coalescer.submit("k", i) for i in (1, 2, 3))
+                )
+                await coalescer.drain()
+                return results
 
-        assert run_async(drive()) == [10, 20, 30]
-        assert batches == [[1, 2, 3]]  # one batch, flushed by size
+            assert run_async(drive()) == [10, 20, 30]
+            assert batches == [[1, 2, 3]]  # one batch, flushed by size
 
     def test_flush_on_timer(self):
-        batches = []
+        for runner in RUNNERS:
+            batches, reasons = [], []
 
-        def execute(key, items):
-            batches.append(list(items))
-            return list(items)
+            def execute(key, items):
+                batches.append(list(items))
+                return list(items)
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=100, max_wait_ms=5.0)
-            return await asyncio.gather(
-                coalescer.submit("k", "a"), coalescer.submit("k", "b")
-            )
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute),
+                    max_batch=100,
+                    max_wait_ms=50.0,
+                    observe_batch=lambda size, reason: reasons.append(reason),
+                )
+                same_tick = await asyncio.gather(
+                    coalescer.submit("k", "a"), coalescer.submit("k", "b")
+                )
+                # A busy key keeps batching: with "c" in flight, "d"
+                # waits in its bucket for the timer.
+                first = coalescer.submit("busy", "c")
+                await asyncio.sleep(0)  # "c" flushes and is now in flight
+                started = time.monotonic()
+                second = await coalescer.submit("busy", "d")
+                waited = time.monotonic() - started
+                return same_tick, await first, second, waited
 
-        assert run_async(drive()) == ["a", "b"]
-        assert batches == [["a", "b"]]  # under max_batch: the timer flushed
+            same_tick, first, second, waited = run_async(drive())
+            assert same_tick == ["a", "b"] and (first, second) == ("c", "d")
+            # Same-tick submissions under max_batch share one batch.
+            assert batches == [["a", "b"], ["c"], ["d"]]
+            assert reasons == ["idle", "idle", "timer"]
+            assert waited >= 0.045
+
+    def test_lone_submit_flushes_idle(self):
+        for runner in RUNNERS:
+            reasons = []
+
+            async def drive():
+                coalescer = Coalescer(
+                    runner(lambda key, items: list(items)),
+                    max_batch=16,
+                    max_wait_ms=10_000,
+                    observe_batch=lambda size, reason: reasons.append(reason),
+                )
+                started = time.monotonic()
+                result = await coalescer.submit("k", "alone")
+                return result, time.monotonic() - started
+
+            result, waited = run_async(drive())
+            assert result == "alone"
+            assert waited < 1.0  # nowhere near the 10 s timer
+            assert reasons == ["idle"]
+
+    def test_lone_submit_after_shared_batch_waits_for_timer(self):
+        for runner in RUNNERS:
+            batches, reasons = [], []
+
+            def execute(key, items):
+                batches.append(list(items))
+                return list(items)
+
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute),
+                    max_batch=16,
+                    max_wait_ms=50.0,
+                    observe_batch=lambda size, reason: reasons.append(reason),
+                )
+                await asyncio.gather(
+                    coalescer.submit("k", 1), coalescer.submit("k", 2)
+                )
+                # The last batch held two: expect company, wait the timer.
+                started = time.monotonic()
+                await coalescer.submit("k", 3)
+                waited = time.monotonic() - started
+                # That batch held one: the next lone submit goes at once.
+                await coalescer.submit("k", 4)
+                return waited
+
+            waited = run_async(drive())
+            assert batches == [[1, 2], [3], [4]]
+            assert reasons == ["idle", "timer", "idle"]
+            assert waited >= 0.045
 
     def test_distinct_keys_do_not_coalesce(self):
-        batches = []
+        for runner in RUNNERS:
+            batches = []
 
-        def execute(key, items):
-            batches.append((key, list(items)))
-            return list(items)
+            def execute(key, items):
+                batches.append((key, list(items)))
+                return list(items)
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=10, max_wait_ms=2.0)
-            await asyncio.gather(
-                coalescer.submit("k1", 1), coalescer.submit("k2", 2)
-            )
-            await coalescer.drain()
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute), max_batch=10, max_wait_ms=2.0
+                )
+                await asyncio.gather(
+                    coalescer.submit("k1", 1), coalescer.submit("k2", 2)
+                )
+                await coalescer.drain()
 
-        run_async(drive())
-        assert sorted(batches) == [("k1", [1]), ("k2", [2])]
+            run_async(drive())
+            assert sorted(batches) == [("k1", [1]), ("k2", [2])]
 
     def test_executor_failure_fans_out(self):
         def execute(key, items):
             raise RuntimeError("boom")
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=2, max_wait_ms=1.0)
-            results = await asyncio.gather(
-                coalescer.submit("k", 1),
-                coalescer.submit("k", 2),
-                return_exceptions=True,
-            )
-            await coalescer.drain()
-            return results
+        for runner in RUNNERS:
 
-        results = run_async(drive())
-        assert all(isinstance(r, RuntimeError) for r in results)
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute), max_batch=2, max_wait_ms=1.0
+                )
+                results = await asyncio.gather(
+                    coalescer.submit("k", 1),
+                    coalescer.submit("k", 2),
+                    return_exceptions=True,
+                )
+                await coalescer.drain()
+                return results
+
+            results = run_async(drive())
+            assert len(results) == 2
+            assert all(isinstance(r, RuntimeError) for r in results)
 
     def test_wrong_result_count_is_an_error(self):
         def execute(key, items):
             return [1]  # always one result, whatever was asked
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=2, max_wait_ms=1.0)
-            results = await asyncio.gather(
-                coalescer.submit("k", 1),
-                coalescer.submit("k", 2),
-                return_exceptions=True,
-            )
-            await coalescer.drain()
-            return results
+        for runner in RUNNERS:
 
-        assert all(isinstance(r, RuntimeError) for r in run_async(drive()))
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute), max_batch=2, max_wait_ms=1.0
+                )
+                results = await asyncio.gather(
+                    coalescer.submit("k", 1),
+                    coalescer.submit("k", 2),
+                    return_exceptions=True,
+                )
+                await coalescer.drain()
+                return results
+
+            results = run_async(drive())
+            assert len(results) == 2
+            assert all(isinstance(r, RuntimeError) for r in results)
 
     def test_max_batch_one_dispatches_immediately(self):
-        batches = []
+        for runner in RUNNERS:
+            batches = []
 
-        def execute(key, items):
-            batches.append(list(items))
-            return list(items)
+            def execute(key, items):
+                batches.append(list(items))
+                return list(items)
 
-        async def drive():
-            coalescer = Coalescer(execute, max_batch=1, max_wait_ms=10_000)
-            await coalescer.submit("k", "only")
-            await coalescer.drain()
+            async def drive():
+                coalescer = Coalescer(
+                    runner(execute), max_batch=1, max_wait_ms=10_000
+                )
+                await coalescer.submit("k", "only")
+                await coalescer.drain()
 
-        run_async(drive())
-        assert batches == [["only"]]
+            run_async(drive())
+            assert batches == [["only"]]
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +615,61 @@ class TestQueryService:
                 hit.score for hit in serial.hits
             ]
 
+    def test_concurrent_callers_batch_while_busy(self, handmade_engine):
+        """Eight closed-loop callers keep filling batches under the idle
+        flush: a cohort that filled its last batch keeps filling it."""
+        queries = [
+            "pancreas | DigestiveSystem",
+            "leukemia | DigestiveSystem",
+            "pancreas leukemia | DigestiveSystem",
+            "leukemia | Neoplasms",
+        ]
+        callers, rounds = 8, 6
+        service = make_service(
+            handmade_engine, max_batch=8, max_wait_ms=20.0, cache_enabled=False
+        )
+        original = service._execute_batch
+
+        def slowed(key, tickets):
+            time.sleep(0.003)
+            return original(key, tickets)
+
+        service._execute_batch = slowed
+
+        async def caller(c):
+            out = []
+            for r in range(rounds):
+                query = queries[(c + r) % len(queries)]
+                # Callers' requests arrive spread over a few ms, as
+                # over sockets, never all in one loop tick.
+                await asyncio.sleep(0.0005 * c)
+                response = await service.handle_request(
+                    query_request(query, top_k=4)
+                )
+                out.append((query, response))
+            return out
+
+        async def drive():
+            return await asyncio.gather(*(caller(c) for c in range(callers)))
+
+        try:
+            served = [pair for out in run_async(drive()) for pair in out]
+        finally:
+            service.close()
+        # ``coalesced`` counts the requests served in batches of two or more.
+        assert service.metrics.coalesced >= 0.75 * callers * rounds
+        # Flushing whenever the key is idle would send each cohort's first
+        # caller out alone (mean batch ~4 here); the last-flush size
+        # keeps the cohort together.
+        assert service.metrics.snapshot()["batches"]["mean_size"] >= 6.0
+        for query, response in served:
+            serial = handmade_engine.search(query, top_k=4)
+            assert response["status"] == "ok"
+            assert [hit["doc"] for hit in response["hits"]] == serial.external_ids()
+            assert [hit["score"] for hit in response["hits"]] == [
+                hit.score for hit in serial.hits
+            ]
+
     def test_shed_when_queue_full(self, handmade_engine):
         service = make_service(handmade_engine, max_pending=1)
         try:
@@ -532,9 +706,11 @@ class TestQueryService:
         """A request whose deadline passes while queued never reaches the engine."""
         service = make_service(handmade_engine, max_batch=64, max_wait_ms=200.0)
         executed = []
+        release = threading.Event()
         original = service._execute_batch
 
         def recording(key, tickets):
+            release.wait(timeout=10)  # hold the first batch in flight
             executed.extend(
                 t.request.query for t in tickets if not t.skip
             )
@@ -543,21 +719,30 @@ class TestQueryService:
         service._execute_batch = recording
 
         async def drive():
+            first = asyncio.ensure_future(
+                service.handle_request(query_request("leukemia | Neoplasms"))
+            )
+            await asyncio.sleep(0.05)  # the lone first request is in flight
+            # The key is busy, so this request waits in the 200ms bucket
+            # and its 5ms deadline expires there.
             response = await service.handle_request(
                 query_request("pancreas | DigestiveSystem", timeout_ms=5)
             )
-            # Let the 200ms batch window elapse and the batch dispatch.
-            await asyncio.sleep(0.25)
+            release.set()
+            first_response = await first
             await service.coalescer.drain()
-            return response
+            return response, first_response
 
         try:
-            response = run_async(drive())
+            response, first_response = run_async(drive())
         finally:
+            release.set()
             service.close()
+        assert first_response["status"] == "ok"
         assert response["status"] == "timeout"
         assert "deadline" in response["error"]
-        assert executed == []  # skipped before execution, no engine work
+        # Skipped before execution: the engine only saw the first query.
+        assert executed == ["leukemia | Neoplasms"]
         assert service.metrics.timeouts == 1
 
     def test_healthz(self, handmade_engine):
@@ -733,6 +918,18 @@ class TestServerEndToEnd:
             serial = handmade_engine.search(query, top_k=4)
             got = [h["doc"] for h in report.responses[i]["hits"]]
             assert got == serial.external_ids()
+
+    def test_lone_caller_never_waits_for_timer(self, handmade_engine):
+        config = ServiceConfig(max_wait_ms=50.0, cache_enabled=False)
+        with ServerThread(handmade_engine, config) as st:
+            with ServiceClient(*st.address) as client:
+                for _ in range(50):
+                    response = client.query("pancreas | DigestiveSystem")
+                    assert response["status"] == "ok"
+                batches = client.metrics()["batches"]
+        assert batches["count"] == 50
+        assert batches["timer_flushes"] == 0
+        assert batches["idle_flushes"] == 50
 
     def test_graceful_shutdown_under_traffic(self, handmade_engine):
         st = ServerThread(handmade_engine, ServiceConfig(max_wait_ms=5.0))
