@@ -848,7 +848,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     try:
         if args.adaptive:
             controller, reference = _adaptive_controller(
-                args, server.service, server.service.metrics.base
+                args, server.service, server.service.metrics
             )
             server.service.recorder = controller.recorder
             server.service.adaptive = controller

@@ -1,14 +1,17 @@
-"""The query router: scatter to shard workers, gather, merge exactly.
+"""The query router: a query service whose batch runner scatters.
 
-The router is the cluster's client-facing front end.  It speaks the same
-JSON-lines protocol as every other server in this repo, coalesces client
-queries into batches, scatters each batch to every shard's replica group
-over persistent pipelined connections, and folds the workers' frames
-through the *same* :class:`~repro.core.sharded_engine.ShardMergePlan`
-the in-process backends drive.  That shared merge object is the whole
-consistency argument: additive statistics, the global emptiness check,
-per-term score bounds, and the final ``(-score, gid)`` rank are one code
-path, so router rankings are bit-identical to a single-process
+:class:`RouterService` is the cluster's client-facing front end and a
+:class:`~repro.service.server.QueryService`: decoding, admission and
+shedding, the result cache, degradation, deadlines, coalescing and the
+response envelope are the single-node server's own code.  Only the
+batch runner differs.  Where the server runs a batch on its engine, the
+router scatters it to every shard's replica group over persistent
+pipelined connections and folds the workers' frames through the *same*
+:class:`~repro.core.sharded_engine.ShardMergePlan` the in-process
+backends drive.  That shared merge object is the whole consistency
+argument: additive statistics, the global emptiness check, per-term
+score bounds, and the final ``(-score, gid)`` rank are one code path,
+so router rankings are bit-identical to a single-process
 :class:`~repro.core.sharded_engine.ShardedEngine` over the same shards.
 
 Failover: every shard has an N-way replica group (consistent-hash
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,16 +41,12 @@ from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
 from ...core.report import _counter_from_dict
 from ...core.sharded_engine import ShardMergePlan, _rebuild_query
 from ...errors import QueryError, ReproError
-from ..admission import AdmissionController
-from ..coalescer import Coalescer
+from ..admission import Ticket
 from ..metrics import ServiceMetrics, percentile
 from ..protocol import (
-    CLUSTER_OPS,
     MAX_CLUSTER_LINE_BYTES,
-    MAX_LINE_BYTES,
     OP_HEALTHZ,
     OP_INSTALL_CATALOG,
-    OP_METRICS,
     OP_SHARD_CONVENTIONAL,
     OP_SHARD_RESOLVE,
     OP_SHARD_SCORE,
@@ -56,14 +54,15 @@ from ..protocol import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
-    STATUS_TIMEOUT,
-    ProtocolError,
     Request,
-    decode_request,
-    encode_response,
 )
-from ..result_cache import ResultCache
-from ..server import ServerThread, ServiceConfig
+from ..server import (
+    PATH_AUTO,
+    QueryService,
+    ServerThread,
+    ServiceConfig,
+    ok_outcome,
+)
 from .config import ClusterConfig, parse_address
 
 __all__ = [
@@ -79,8 +78,6 @@ __all__ = [
     "router_service_factory",
     "router_thread",
 ]
-
-PATH_AUTO = "auto"
 
 STATE_UNKNOWN = "unknown"
 STATE_UP = "up"
@@ -335,19 +332,18 @@ class ReplicaGroup:
         return any(r.state != STATE_DOWN for r in self.replicas)
 
 
-class RouterMetrics:
+class RouterMetrics(ServiceMetrics):
     """:class:`ServiceMetrics` plus router-only signals: per-shard
     attempt latency windows, failover counts, group-down sheds."""
 
     def __init__(self, num_shards: int):
-        self.base = ServiceMetrics()
-        self._lock = threading.Lock()
+        super().__init__()
         self.failovers = 0
         self.group_down = 0
         self.health_probes = 0
         self._attempts = [0] * num_shards
         self._errors = [0] * num_shards
-        self._latencies = [
+        self._shard_latencies = [
             deque(maxlen=SHARD_LATENCY_WINDOW) for _ in range(num_shards)
         ]
 
@@ -358,7 +354,7 @@ class RouterMetrics:
             self._attempts[shard_id] += 1
             if not ok:
                 self._errors[shard_id] += 1
-            self._latencies[shard_id].append(seconds)
+            self._shard_latencies[shard_id].append(seconds)
 
     def record_failover(self) -> None:
         with self._lock:
@@ -372,12 +368,14 @@ class RouterMetrics:
         with self._lock:
             self.health_probes += 1
 
-    def shard_snapshot(self) -> dict:
+    def router_snapshot(self) -> dict:
+        """The ``router`` section of the ``metrics`` op, bar the replica
+        states the service adds."""
         with self._lock:
-            out = {}
+            per_shard = {}
             for shard_id in range(len(self._attempts)):
-                window = list(self._latencies[shard_id])
-                out[str(shard_id)] = {
+                window = list(self._shard_latencies[shard_id])
+                per_shard[str(shard_id)] = {
                     "attempts": self._attempts[shard_id],
                     "errors": self._errors[shard_id],
                     "latency_ms": {
@@ -391,20 +389,31 @@ class RouterMetrics:
                         "p99": percentile(window, 99) * 1000.0,
                     },
                 }
-            return out
+            return {
+                "failovers": self.failovers,
+                "group_down_sheds": self.group_down,
+                "health_probes": self.health_probes,
+                "per_shard": per_shard,
+            }
 
 
-class RouterService:
-    """Client-facing router service (duck-typed like ``QueryService`` so
-    :class:`~repro.service.server.QueryServer` binds it unchanged).
+class RouterService(QueryService):
+    """The cluster front end: a :class:`QueryService` whose batch runner
+    scatters to shard workers instead of running a local engine.
 
-    Lifecycle per client query: admit → coalesce by (mode, top_k, path)
-    → phase-1 ``shard_resolve`` scatter (workers analyse; additive stats
-    come back) → :class:`ShardMergePlan` merge → mode-specific phase 2 →
-    merged rank → respond in the exact shape ``QueryService`` answers.
+    The whole request lifecycle — admission, the result cache (guarded
+    by the cluster-wide version vector), degradation, deadlines from
+    arrival, coalescing by (mode, top_k, path), and the response
+    envelope — is inherited.  Per coalesced batch, :meth:`_run_batch`
+    drops tickets whose deadline passed, then runs the phase-1
+    ``shard_resolve`` scatter (workers analyse; additive stats come
+    back) → :class:`ShardMergePlan` merge → mode-specific phase 2 →
+    merged rank.  A whole replica group down sheds the batch; any other
+    worker failure errors it.  What is its own: replica groups with
+    health probes and failover, the version authority,
+    ``install_catalog`` / ``update_placement``, and the ``router``
+    sections of ``healthz`` and ``metrics``.
     """
-
-    line_limit = MAX_LINE_BYTES  # client-facing: the normal frame budget
 
     # SearchBackend constraint declarations for the adaptive controller:
     # the router can always hot-swap (workers re-materialise on install),
@@ -419,17 +428,16 @@ class RouterService:
         config: Optional[ServiceConfig] = None,
         ranking: Optional[RankingFunction] = None,
     ):
+        # No local engine; the adaptive recorder's predicate analyzer is
+        # the reference index's, wired in by ``route --adaptive``.
+        super().__init__(
+            None, config, metrics=RouterMetrics(cluster.num_shards)
+        )
         self.cluster = cluster
-        self.config = config if config is not None else ServiceConfig()
         self.ranking = (
             ranking if ranking is not None else DEFAULT_RANKING_FUNCTION
         )
         self.options = cluster.router
-        self.metrics = RouterMetrics(cluster.num_shards)
-        self.admission = AdmissionController(
-            max_pending=self.config.max_pending,
-            degrade_depth=self.config.degrade_depth,
-        )
         self.groups = [
             ReplicaGroup(
                 shard_id,
@@ -438,35 +446,21 @@ class RouterService:
             )
             for shard_id in range(cluster.num_shards)
         ]
-        self.coalescer = Coalescer(
-            self._run_batch,
-            max_batch=self.config.max_batch if self.config.coalesce else 1,
-            max_wait_ms=(
-                self.config.max_wait_ms if self.config.coalesce else 0.0
-            ),
-            observe_batch=self.metrics.base.observe_batch,
-        )
         self._health_task: Optional[asyncio.Task] = None
         # Version coherence: catalog and placement clocks live here; the
         # data epoch is the tuple of per-shard worker epochs learned from
-        # health probes.  The router-side result cache keys on the whole
+        # health probes.  The inherited result cache keys on the whole
         # vector, so a cluster-wide catalog install or a placement change
         # invalidates exactly like a data mutation.
         self._authority = VersionAuthority(
             epoch_source=self._cluster_epoch,
             placement_generation=getattr(cluster, "placement_generation", 0),
         )
-        self.result_cache = ResultCache(max_entries=self.config.cache_entries)
         # The last whole-collection catalog this router shipped, plus its
         # provenance — what healthz reports and what the adaptive
         # controller diffs coverage against.
         self.catalog = None
         self.last_reselection: Optional[dict] = None
-        # Adaptive attachments (wired by ``route --adaptive`` or tests),
-        # mirroring QueryService's.
-        self.recorder = None
-        self.adaptive = None
-        self._predicate_analyzer = None
         # The serving event loop; captured in on_start so the adaptive
         # controller's background thread can bridge install/placement
         # calls onto it.
@@ -490,12 +484,6 @@ class RouterService:
         for group in self.groups:
             for replica in group.replicas:
                 await replica.aclose()
-
-    async def drain(self) -> None:
-        await self.coalescer.drain()
-
-    def close(self) -> None:
-        pass  # no worker pool: merging runs on the event loop
 
     # -- health ------------------------------------------------------------
 
@@ -578,10 +566,6 @@ class RouterService:
     def version(self) -> VersionVector:
         """The cluster-wide :class:`~repro.core.backend.VersionVector`."""
         return self._authority.vector()
-
-    def invalidate(self) -> None:
-        """Drop the router-side result cache."""
-        self.result_cache.invalidate()
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -741,230 +725,39 @@ class RouterService:
             await replica.aclose()
         await self.check_health()
 
-    def _record_workload(self, query_text, context_size) -> None:
-        """Fold one served query into the workload recorder (mirrors
-        ``QueryService._record_workload``; the predicate analyzer comes
-        from the reference index the CLI wires in)."""
-        if self.recorder is None or not query_text:
-            return
-        from ...core.query import parse_query
-
-        try:
-            parsed = parse_query(query_text)
-        except ReproError:
-            return
-        predicates = list(parsed.predicates)
-        if self._predicate_analyzer is not None:
-            analyzed = []
-            for predicate in predicates:
-                term = self._predicate_analyzer.analyze_query_term(predicate)
-                if term is None:
-                    return
-                analyzed.append(term)
-            predicates = analyzed
-        self.recorder.record(predicates, context_size or 0)
-
-    # -- request handling --------------------------------------------------
-
-    async def handle_line(self, line: bytes) -> bytes:
-        try:
-            request = decode_request(line, limit=self.line_limit)
-        except ProtocolError as exc:
-            return encode_response({"status": STATUS_ERROR, "error": str(exc)})
-        payload = await self.handle_request(request)
-        return encode_response(payload)
-
-    async def handle_request(self, request: Request) -> dict:
-        if request.op == OP_HEALTHZ:
-            return self._with_id(request, self._healthz())
-        if request.op == OP_METRICS:
-            return self._with_id(request, self._metrics())
-        if request.op in CLUSTER_OPS:
-            payload = {
-                "status": STATUS_ERROR,
-                "error": (
-                    f"op {request.op!r} is cluster-internal: clients send "
-                    "'query' to the router; shard ops are router→worker only"
-                ),
-            }
-            if request.id is not None:
-                payload["id"] = request.id
-            return payload
-        return await self._handle_query(request)
-
-    @staticmethod
-    def _with_id(request: Request, payload: dict) -> dict:
-        if request.id is not None:
-            payload["id"] = request.id
-        return payload
-
-    async def _handle_query(self, request: Request) -> dict:
-        started = time.monotonic()
-        self.metrics.base.observe_request()
-        if not self.admission.try_admit():
-            self.metrics.base.observe_shed()
-            return self._respond(
-                request,
-                STATUS_SHED,
-                started,
-                error=(
-                    f"router overloaded: {self.admission.max_pending} "
-                    "requests already pending"
-                ),
-            )
-        try:
-            return await self._admitted(request, started)
-        finally:
-            self.admission.release()
-
-    async def _admitted(self, request: Request, started: float) -> dict:
-        top_k = (
-            request.top_k
-            if request.top_k is not None
-            else self.config.default_top_k
-        )
-        mode, path = request.mode, request.path
-
-        # Serving-cache lookup, keyed exactly like the single-node
-        # service but guarded by the *cluster* version vector: per-shard
-        # worker epochs × catalog generation × placement generation.
-        cache_key = None
-        vector = self.version
-        if self.config.cache_enabled:
-            try:
-                cache_key = ResultCache.key(request.query, mode, top_k)
-            except ReproError:
-                cache_key = None  # unparseable; the workers report it
-            if cache_key is not None:
-                payload = self.result_cache.get(cache_key, vector)
-                if payload is not None:
-                    report = payload.get("report") or {}
-                    self._record_workload(
-                        request.query, report.get("context_size")
-                    )
-                    self.metrics.base.observe_path(
-                        (report.get("resolution") or {}).get("path")
-                    )
-                    self.metrics.base.observe_ok(
-                        time.monotonic() - started, cached=True
-                    )
-                    return self._respond(
-                        request, STATUS_OK, started, body=payload, cached=True
-                    )
-
-        # Same graceful degradation as the single-node service: a deep
-        # queue forces the cheap planner path (answer-preserving).
-        degraded = False
-        if (
-            mode != MODE_CONVENTIONAL
-            and path == PATH_AUTO
-            and self.admission.degraded
-        ):
-            path = self.config.degrade_path
-            degraded = True
-        timeout_ms = (
-            request.timeout_ms
-            if request.timeout_ms is not None
-            else self.config.default_timeout_ms
-        )
-        submit = self.coalescer.submit((mode, top_k, path), request)
-        try:
-            if timeout_ms is not None:
-                outcome = await asyncio.wait_for(submit, timeout_ms / 1000.0)
-            else:
-                outcome = await submit
-        except asyncio.TimeoutError:
-            self.metrics.base.observe_timeout(time.monotonic() - started)
-            return self._respond(
-                request,
-                STATUS_TIMEOUT,
-                started,
-                error=f"deadline of {timeout_ms:g}ms exceeded",
-            )
-        status = outcome.get("status", STATUS_ERROR)
-        if status == STATUS_OK:
-            body = outcome["body"]
-            report = body.get("report") or {}
-            if cache_key is not None:
-                self.result_cache.put(cache_key, vector, body)
-            self._record_workload(request.query, report.get("context_size"))
-            self.metrics.base.observe_path(
-                (report.get("resolution") or {}).get("path")
-            )
-            self.metrics.base.observe_topk(report.get("topk"))
-            self.metrics.base.observe_ok(
-                time.monotonic() - started, degraded=degraded
-            )
-            return self._respond(
-                request, STATUS_OK, started, body=body, degraded=degraded
-            )
-        if status == STATUS_SHED:
-            self.metrics.base.observe_shed()
-            return self._respond(
-                request, STATUS_SHED, started, error=outcome.get("error")
-            )
-        self.metrics.base.observe_error(time.monotonic() - started)
-        return self._respond(
-            request, STATUS_ERROR, started, error=outcome.get("error")
-        )
-
-    def _respond(
-        self,
-        request: Request,
-        status: str,
-        started: float,
-        body: Optional[dict] = None,
-        error: Optional[str] = None,
-        degraded: bool = False,
-        cached: bool = False,
-    ) -> dict:
-        payload = {
-            "status": status,
-            "elapsed_ms": (time.monotonic() - started) * 1000.0,
-        }
-        if request.id is not None:
-            payload["id"] = request.id
-        if body is not None:
-            payload.update(body)
-        if error is not None:
-            payload["error"] = error
-        if degraded:
-            payload["degraded"] = True
-        if cached:
-            payload["cached"] = True
-        return payload
-
     # -- batch execution ---------------------------------------------------
 
     async def _run_batch(
-        self, key: tuple, requests: Sequence[Request]
-    ) -> List[dict]:
+        self, key: tuple, tickets: Sequence[Ticket]
+    ) -> List[Optional[dict]]:
+        """The coalescer's runner, on the event loop: tickets whose
+        deadline passed while queued resolve to ``None`` and are never
+        scattered; the rest go out as one scatter-gather."""
         mode, top_k, path = key
+        live = [i for i, ticket in enumerate(tickets) if not ticket.skip]
+        out: List[Optional[dict]] = [None] * len(tickets)
+        if not live:
+            return out
+        queries = [tickets[i].request.query for i in live]
         try:
-            return await self._scatter_gather(mode, top_k, path, requests)
+            outcomes = await self._scatter_gather(mode, top_k, path, queries)
         except GroupUnavailable as exc:
             # A whole replica group is gone: shed the affected queries
             # with one readable error naming the group and its failures.
             self.metrics.record_group_down()
-            return [
-                {"status": STATUS_SHED, "error": str(exc)} for _ in requests
-            ]
+            outcomes = [{"status": STATUS_SHED, "error": str(exc)}] * len(live)
         except WorkerError as exc:
-            return [
-                {"status": STATUS_ERROR, "error": str(exc)} for _ in requests
-            ]
-        except Exception as exc:  # defensive: every query gets an answer
-            return [
-                {"status": STATUS_ERROR, "error": f"{type(exc).__name__}: {exc}"}
-                for _ in requests
-            ]
+            outcomes = [{"status": STATUS_ERROR, "error": str(exc)}] * len(live)
+        for slot, outcome in zip(live, outcomes):
+            out[slot] = outcome
+        return out
 
     async def _scatter_gather(
         self,
         mode: str,
         top_k: Optional[int],
         path: str,
-        requests: Sequence[Request],
+        queries: Sequence[str],
     ) -> List[dict]:
         plan = ShardMergePlan(
             self.ranking,
@@ -972,14 +765,14 @@ class RouterService:
             top_k,
             forced=path not in (None, PATH_AUTO),
         )
-        outcomes: List[Optional[dict]] = [None] * len(requests)
+        outcomes: List[Optional[dict]] = [None] * len(queries)
         payload = {
             "op": OP_SHARD_RESOLVE,
             "mode": mode,
             "path": path,
             "tasks": [
-                {"qid": qid, "query": request.query}
-                for qid, request in enumerate(requests)
+                {"qid": qid, "query": query}
+                for qid, query in enumerate(queries)
             ],
         }
         shard_maps = await self._scatter([payload] * len(self.groups))
@@ -990,7 +783,7 @@ class RouterService:
         live: List[int] = []
         analyzed: Dict[int, dict] = {}
         address0 = shard_maps[0][0]
-        for qid in range(len(requests)):
+        for qid in range(len(queries)):
             entry = shard_maps[0][1].get(qid)
             if entry is None:
                 outcomes[qid] = {
@@ -1156,7 +949,7 @@ class RouterService:
                     ),
                 }
                 continue
-            outcomes[qid] = self._ok_outcome(plan, qid)
+            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
 
     async def _gather_conventional(
         self, plan, live, analyzed, shard_maps, outcomes, top_k
@@ -1237,7 +1030,7 @@ class RouterService:
                     ),
                 }
                 continue
-            outcomes[qid] = self._ok_outcome(plan, qid)
+            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
 
     async def _gather_disjunctive(
         self, plan, live, analyzed, shard_maps, outcomes
@@ -1306,25 +1099,7 @@ class RouterService:
                     ),
                 }
                 continue
-            outcomes[qid] = self._ok_outcome(plan, qid)
-
-    def _ok_outcome(self, plan: ShardMergePlan, qid: int) -> dict:
-        results = plan.finish(qid)
-        return {
-            "status": STATUS_OK,
-            "body": {
-                "mode": plan.mode,
-                "hits": [
-                    {
-                        "doc": hit.external_id,
-                        "doc_id": hit.doc_id,
-                        "score": hit.score,
-                    }
-                    for hit in results.hits
-                ],
-                "report": results.report.to_dict(),
-            },
-        }
+            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
 
     # -- scatter / failover ------------------------------------------------
 
@@ -1497,7 +1272,7 @@ class RouterService:
                 "views": len(self.catalog) if self.catalog is not None else 0,
                 "provenance": self.last_reselection,
             },
-            "uptime_seconds": time.monotonic() - self.metrics.base.started,
+            "uptime_seconds": time.monotonic() - self.metrics.started,
             "groups": groups,
         }
         if self.adaptive is not None:
@@ -1505,40 +1280,34 @@ class RouterService:
         return payload
 
     def _metrics(self) -> dict:
-        return self.metrics.base.snapshot(
-            extra={
-                "status": STATUS_OK,
-                "queue_depth": self.admission.depth,
-                "max_pending": self.admission.max_pending,
-                "degrade_depth": self.admission.degrade_depth,
-                "admitted": self.admission.admitted,
-                "cache": self.result_cache.stats(),
-                "epoch": list(self.epoch),
-                "catalog_generation": self.catalog_generation,
-                "placement_generation": self.placement_generation,
-                "version_vector": self.version.to_dict(),
-                "router": {
-                    "failovers": self.metrics.failovers,
-                    "group_down_sheds": self.metrics.group_down,
-                    "health_probes": self.metrics.health_probes,
-                    "per_shard": self.metrics.shard_snapshot(),
-                    "replicas": [
-                        {
-                            "address": replica.address,
-                            "shard": group.shard_id,
-                            "state": replica.state,
-                            "consecutive_failures": (
-                                replica.consecutive_failures
-                            ),
-                            "version_vector": replica.info.get(
-                                "version_vector"
-                            ),
-                        }
-                        for group in self.groups
-                        for replica in group.replicas
-                    ],
-                },
+        payload = super()._metrics()
+        router = self.metrics.router_snapshot()
+        router["replicas"] = [
+            {
+                "address": replica.address,
+                "shard": group.shard_id,
+                "state": replica.state,
+                "consecutive_failures": replica.consecutive_failures,
+                "version_vector": replica.info.get("version_vector"),
             }
+            for group in self.groups
+            for replica in group.replicas
+        ]
+        payload["epoch"] = list(self.epoch)
+        payload["placement_generation"] = self.placement_generation
+        payload["router"] = router
+        return payload
+
+    def _respond_cluster_op(self, request: Request) -> dict:
+        return self._with_id(
+            request,
+            {
+                "status": STATUS_ERROR,
+                "error": (
+                    f"op {request.op!r} is cluster-internal: clients send "
+                    "'query' to the router; shard ops are router→worker only"
+                ),
+            },
         )
 
 

@@ -62,12 +62,10 @@ from ..protocol import (
     STATUS_OK,
     Request,
 )
-from ..server import QueryService, ServerThread, ServiceConfig
+from ..server import PATH_AUTO, QueryService, ServerThread, ServiceConfig
 from .shipping import ArtifactShipper, decode_catalog_frame
 
 __all__ = ["ShardWorkerService", "worker_service_factory", "worker_thread"]
-
-PATH_AUTO = "auto"
 
 
 class ShardWorkerService(QueryService):

@@ -15,21 +15,27 @@ Request lifecycle (one ``op: query`` line)::
                   │
                   ├─▶ degrade? (queue ≥ degrade_depth ⇒ force cheap path)
                   │
-                  └─▶ coalescer.submit ─▶ [batch while busy] ─▶ worker pool
-                            │                    BatchExecutor / search_many
-                            │  deadline fires ⇒ respond {"status": "timeout"}
-                            │  (the ticket is cancelled; execution is
-                            │   skipped if it has not started)
+                  └─▶ coalescer.submit ─▶ [batch while busy] ─▶ batch runner
+                            │                    (worker pool here, shard
+                            │                     scatter in the router)
+                            │  deadline (from arrival) fires ⇒ respond
+                            │  {"status": "timeout"} (the ticket is
+                            │  cancelled; execution is skipped if it has
+                            │  not started)
                             ▼
-                      cache.put + respond {"status": "ok", hits, report}
+                      one outcome per ticket ─▶ ok: cache.put + respond
+                                                    {"status": "ok", hits, report}
+                                                error / shed: respond as such
 
-Evaluation itself is the engines' existing synchronous machinery —
+The batch runner is the only tier-specific step.  Here it is the
+engines' existing synchronous machinery —
 :class:`~repro.core.engine.BatchExecutor` for a flat engine (shared
 context materialisations, prefetch, thread fan-out) or
 :meth:`~repro.core.sharded_engine.ShardedEngine.search_many` for a
 sharded one (two scatter-gather dispatches per batch) — driven off the
-event loop on a worker pool.  The event loop only ever parses, admits,
-coalesces, and serialises.
+event loop on a worker pool; the cluster router overrides it to scatter
+to shard workers.  The event loop only ever parses, admits, coalesces,
+and serialises.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Optional, Sequence, Tuple
 
 from .. import __version__
 from ..core.backend import VersionVector
-from ..core.engine import BatchExecutor, BatchOutcome
+from ..core.engine import BatchExecutor
 from ..errors import QueryError, ReproError
 from .admission import AdmissionController, Ticket
 from .coalescer import Coalescer
@@ -69,6 +75,27 @@ from .result_cache import ResultCache
 __all__ = ["QueryServer", "QueryService", "ServerThread", "ServiceConfig"]
 
 PATH_AUTO = "auto"
+
+
+def ok_outcome(mode: str, results) -> dict:
+    """A batch runner's outcome for one answered query: the response
+    body (``mode``, ``hits``, serialised ``report``) that both tiers
+    send and cache."""
+    return {
+        "status": STATUS_OK,
+        "body": {
+            "mode": mode,
+            "hits": [
+                {
+                    "doc": hit.external_id,
+                    "doc_id": hit.doc_id,
+                    "score": hit.score,
+                }
+                for hit in results.hits
+            ],
+            "report": results.report.to_dict(),
+        },
+    }
 
 
 @dataclass
@@ -101,19 +128,31 @@ class ServiceConfig:
 
 
 class QueryService:
-    """Transport-free request handling: the whole lifecycle minus sockets."""
+    """Transport-free request handling: the whole lifecycle minus sockets.
+
+    Subclasses change how one batch runs (``_run_batch``) and what the
+    health and metrics ops report; admission, caching, degradation,
+    deadlines, coalescing and the response envelope stay here.
+    ``metrics`` lets a subclass pass a :class:`ServiceMetrics` subclass
+    that carries its own extra signals.
+    """
 
     # Per-service frame limit; shard workers raise it for router batches.
     line_limit = MAX_LINE_BYTES
 
-    def __init__(self, engine, config: Optional[ServiceConfig] = None):
+    def __init__(
+        self,
+        engine,
+        config: Optional[ServiceConfig] = None,
+        metrics: Optional[ServiceMetrics] = None,
+    ):
         self.engine = engine
         self.config = config if config is not None else ServiceConfig()
         # Duck-typed engine split: anything with search_many runs its own
         # batch fan-out (the sharded engine); everything else goes
         # through BatchExecutor (plain or wrapped flat engines).
         self._sharded = hasattr(engine, "search_many")
-        self.metrics = ServiceMetrics()
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         # Adaptive selection attachments (optional; wired by the CLI's
         # ``serve --adaptive`` or by tests): served queries fold into the
         # recorder, and the controller owns the background reselection
@@ -386,6 +425,13 @@ class QueryService:
                 started,
                 error=f"deadline of {timeout_ms:g}ms exceeded",
             )
+        except Exception as exc:  # noqa: BLE001 - every request gets a reply
+            # The runner itself failed (an engine bug, a dead worker pool):
+            # the coalescer fanned the exception out to every ticket.
+            outcome = {
+                "status": STATUS_ERROR,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
 
         if outcome is None:  # deadline expired while queued; never executed
             self.metrics.observe_timeout(time.monotonic() - started)
@@ -395,30 +441,25 @@ class QueryService:
                 started,
                 error=f"deadline of {timeout_ms:g}ms expired before execution",
             )
-        if not outcome.ok:
+        status = outcome["status"]
+        if status == STATUS_SHED:  # the router lost a whole shard group
+            self.metrics.observe_shed()
+            return self._respond(
+                request, STATUS_SHED, started, error=outcome["error"]
+            )
+        if status != STATUS_OK:
             self.metrics.observe_error(time.monotonic() - started)
             return self._respond(
-                request, STATUS_ERROR, started, error=outcome.error
+                request, STATUS_ERROR, started, error=outcome["error"]
             )
 
-        results = outcome.results
-        body = {
-            "mode": mode,
-            "hits": [
-                {
-                    "doc": hit.external_id,
-                    "doc_id": hit.doc_id,
-                    "score": hit.score,
-                }
-                for hit in results.hits
-            ],
-            "report": results.report.to_dict(),
-        }
+        body = outcome["body"]
+        report = body["report"]
         if cache_key is not None:
             self.result_cache.put(cache_key, epoch, body)
-        self._record_workload(request.query, results.report.context_size)
-        self.metrics.observe_path(results.report.resolution.path)
-        self.metrics.observe_topk(results.report.topk)
+        self._record_workload(request.query, report["context_size"])
+        self.metrics.observe_path(report["resolution"]["path"])
+        self.metrics.observe_topk(report["topk"])
         self.metrics.observe_ok(
             time.monotonic() - started, degraded=degraded
         )
@@ -456,8 +497,13 @@ class QueryService:
 
     async def _run_batch(
         self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]
-    ) -> Sequence[Optional[BatchOutcome]]:
-        """The coalescer's runner: one batch on the worker pool."""
+    ) -> Sequence[Optional[dict]]:
+        """The coalescer's runner: one batch on the worker pool.
+
+        Returns one outcome per ticket — ``{"status": "ok", "body": …}``
+        (see :func:`ok_outcome`), ``{"status": "error" | "shed",
+        "error": …}``, or ``None`` for a ticket skipped before execution.
+        """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self.pool, self._execute_batch, key, tickets
@@ -465,7 +511,7 @@ class QueryService:
 
     def _execute_batch(
         self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]
-    ) -> Sequence[Optional[BatchOutcome]]:
+    ) -> Sequence[Optional[dict]]:
         """Run one coalesced batch through the engine (blocking).
 
         Tickets whose deadline expired (or whose waiter gave up) while
@@ -487,7 +533,11 @@ class QueryService:
                 self.engine, max_workers=self.config.effective_workers()
             ).run(queries, top_k=top_k, mode=mode, path=path)
         for slot, outcome in zip(live, report.outcomes):
-            out[slot] = outcome
+            out[slot] = (
+                ok_outcome(mode, outcome.results)
+                if outcome.ok
+                else {"status": STATUS_ERROR, "error": outcome.error}
+            )
         return out
 
 

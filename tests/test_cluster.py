@@ -14,6 +14,7 @@ workload-state persistence, and the multi-endpoint load generator.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import json
 import socket
@@ -28,6 +29,7 @@ from repro.core.sharded_engine import ShardedEngine
 from repro.errors import QueryError, ReproError, SelectionError
 from repro.index.sharded import ShardedInvertedIndex
 from repro.service import (
+    QueryService,
     ServerThread,
     ServiceClient,
     ServiceConfig,
@@ -40,6 +42,7 @@ from repro.service.cluster import (
     ClusterConfig,
     ClusterConfigError,
     HashRing,
+    RouterService,
     fetch_artifact,
     load_cluster_config,
     parse_address,
@@ -47,8 +50,11 @@ from repro.service.cluster import (
     router_thread,
     worker_thread,
 )
+from repro.service.protocol import Request
 from repro.storage import load_shard, save_sharded_index
 from repro.views import WideSparseTable
+
+from .test_service import FrontEndCases, query_request
 
 MODES = ("context", "conventional", "disjunctive")
 
@@ -599,6 +605,124 @@ class TestRouterObservability:
                 assert metrics["ok"] == 3
             finally:
                 client.close()
+
+
+# ---------------------------------------------------------------------------
+# Front-end parity: the router runs the single-node request lifecycle
+
+
+class RouterFrontEnd:
+    """The router tier of ``FrontEndCases``: a fresh :class:`RouterService`
+    per case over shared in-process workers, driven transport-free on a
+    private event loop (its replica connections outlive one request)."""
+
+    def __init__(self, cluster: ClusterConfig):
+        self.cluster = cluster
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, daemon=True
+        )
+        self._thread.start()
+
+    def run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(
+            timeout=30.0
+        )
+
+    @contextlib.contextmanager
+    def serving(self, **overrides):
+        service = RouterService(self.cluster, _worker_config(**overrides))
+        self.run(service.on_start())
+        try:
+            yield service
+        finally:
+            self.run(service.drain())
+            self.run(service.on_stop())
+            service.close()
+
+    def close(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+        self.loop.close()
+
+
+def key_paths(payload: dict, prefix: str = "") -> set:
+    """Every key of a nested JSON object, as dotted paths."""
+    paths = set()
+    for key, value in payload.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+class TestRouterFrontEnd(FrontEndCases):
+    @pytest.fixture(scope="class")
+    def front_end(self, handmade_index):
+        with running_cluster(handmade_index, 2, 1) as (_s, _g, router):
+            tier = RouterFrontEnd(router.service.cluster)
+            try:
+                yield tier
+            finally:
+                tier.close()
+
+    def test_deadline_runs_from_arrival_and_skips_scatter(self, front_end):
+        """An expired request answers ``timeout`` and is never scattered."""
+        with front_end.serving(max_batch=64, max_wait_ms=200.0) as service:
+            original = service._scatter_gather
+
+            async def drive():
+                release = asyncio.Event()
+
+                async def held(*args):
+                    await release.wait()  # hold the first batch in flight
+                    return await original(*args)
+
+                service._scatter_gather = held
+                first = asyncio.ensure_future(
+                    service.handle_request(query_request("leukemia | Neoplasms"))
+                )
+                await asyncio.sleep(0.05)
+                # The key is busy, so this request waits in the 200ms
+                # bucket and its 5ms deadline expires there.
+                response = await service.handle_request(
+                    query_request("pancreas | DigestiveSystem", timeout_ms=5)
+                )
+                release.set()
+                first_response = await first
+                await service.drain()
+                metrics = await service.handle_request(Request(op="metrics"))
+                return response, first_response, metrics
+
+            response, first_response, metrics = front_end.run(drive())
+        assert first_response["status"] == "ok"
+        assert response["status"] == "timeout"
+        assert "deadline" in response["error"]
+        assert metrics["timeouts"] == 1
+        # Only the first query went out: one resolve and one score
+        # exchange per shard.
+        for stats in metrics["router"]["per_shard"].values():
+            assert stats["attempts"] == 2
+
+    def test_metrics_keep_every_single_node_key(
+        self, front_end, handmade_engine
+    ):
+        single = QueryService(handmade_engine)
+        try:
+            expected = asyncio.run(single.handle_request(Request(op="metrics")))
+        finally:
+            single.close()
+        with front_end.serving() as service:
+            payload = front_end.run(service.handle_request(Request(op="metrics")))
+        assert key_paths(expected) <= key_paths(payload)
+        assert set(payload["router"]) >= {
+            "failovers",
+            "group_down_sheds",
+            "health_probes",
+            "per_shard",
+            "replicas",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ to end via :class:`ServerThread` + :class:`ServiceClient`.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import json
 import threading
 import time
 
@@ -18,7 +20,7 @@ import pytest
 
 from repro import ContextSearchEngine, Document, build_index
 from repro.core.report import CostCounter, ExecutionReport, ShardReport
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.service import (
     AdmissionController,
     Coalescer,
@@ -521,7 +523,111 @@ def query_request(text, top_k=5, **kwargs) -> Request:
     return Request(op="query", query=text, top_k=top_k, **kwargs)
 
 
-class TestQueryService:
+def served_hits(response):
+    return [(hit["doc"], hit["score"]) for hit in response["hits"]]
+
+
+def engine_hits(engine, query, top_k=5):
+    results = engine.search(query, top_k=top_k)
+    return [(hit.external_id, hit.score) for hit in results.hits]
+
+
+class SingleNodeFrontEnd:
+    """The single-node tier of :class:`FrontEndCases`: a fresh
+    :class:`QueryService` per case, each request on a fresh loop."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    @contextlib.contextmanager
+    def serving(self, **overrides):
+        service = make_service(self.engine, **overrides)
+        try:
+            yield service
+        finally:
+            service.close()
+
+    @staticmethod
+    def run(coro):
+        return run_async(coro)
+
+
+class FrontEndCases:
+    """Request-lifecycle cases every front end passes with the single-node
+    engine's answers.  The ``front_end`` fixture picks the tier: the
+    single-node service in :class:`TestQueryService`, the cluster router
+    in ``tests/test_cluster.py``."""
+
+    def test_engine_error_becomes_error_response(
+        self, front_end, handmade_engine
+    ):
+        with front_end.serving() as service:
+            response = front_end.run(
+                service.handle_request(query_request("pancreas | NoSuchTag"))
+            )
+        with pytest.raises(ReproError) as raised:
+            handmade_engine.search("pancreas | NoSuchTag")
+        assert response["status"] == "error"
+        assert response["error"] == (
+            f"{type(raised.value).__name__}: {raised.value}"
+        )
+
+    def test_cache_hit_on_repeat(self, front_end, handmade_engine):
+        with front_end.serving() as service:
+            first = front_end.run(
+                service.handle_request(query_request("pancreas | DigestiveSystem"))
+            )
+            second = front_end.run(
+                service.handle_request(query_request("pancreas | DigestiveSystem"))
+            )
+        assert "cached" not in first
+        assert second["cached"] is True
+        assert second["hits"] == first["hits"]
+        assert served_hits(first) == engine_hits(
+            handmade_engine, "pancreas | DigestiveSystem"
+        )
+        assert service.result_cache.metrics.hits == 1
+
+    def test_shed_when_queue_full(self, front_end):
+        with front_end.serving(max_pending=1) as service:
+            assert service.admission.try_admit()  # occupy the only slot
+            try:
+                response = front_end.run(
+                    service.handle_request(query_request("pancreas | Diseases"))
+                )
+            finally:
+                service.admission.release()
+        assert response["status"] == "shed"
+        assert "overloaded" in response["error"]
+        assert service.metrics.shed == 1
+
+    def test_degrades_to_forced_path_when_deep(
+        self, front_end, handmade_engine
+    ):
+        with front_end.serving(
+            max_pending=8, degrade_depth=1, cache_enabled=False
+        ) as service:
+            # Any admitted request now sees depth >= degrade_depth.
+            response = front_end.run(
+                service.handle_request(query_request("pancreas | DigestiveSystem"))
+            )
+        assert response["status"] == "ok"
+        assert response["degraded"] is True
+        # "straightforward" here, "sharded-straightforward" at the router.
+        assert response["report"]["resolution"]["path"].endswith(
+            "straightforward"
+        )
+        # Degradation must not change the answer.
+        assert served_hits(response) == engine_hits(
+            handmade_engine, "pancreas | DigestiveSystem"
+        )
+
+
+class TestQueryService(FrontEndCases):
+    @pytest.fixture()
+    def front_end(self, handmade_engine):
+        return SingleNodeFrontEnd(handmade_engine)
+
     def test_ok_response_shape(self, handmade_engine):
         service = make_service(handmade_engine)
         try:
@@ -537,32 +643,26 @@ class TestQueryService:
         assert response["mode"] == "context"
         assert "elapsed_ms" in response
 
-    def test_engine_error_becomes_error_response(self, handmade_engine):
-        service = make_service(handmade_engine)
-        try:
-            response = run_async(
-                service.handle_request(query_request("pancreas | NoSuchTag"))
-            )
-        finally:
-            service.close()
-        assert response["status"] == "error"
-        assert "context" in response["error"].lower() or response["error"]
+    def test_engine_exception_is_answered(self):
+        """A non-ReproError from the engine still gets a reply carrying
+        the request id, and counts as an error."""
 
-    def test_cache_hit_on_repeat(self, handmade_engine):
-        service = make_service(handmade_engine)
+        class BrokenEngine:
+            def search(self, query, **kwargs):
+                raise RuntimeError("engine bug")
+
+        service = make_service(BrokenEngine(), cache_enabled=False)
         try:
-            first = run_async(
-                service.handle_request(query_request("pancreas | DigestiveSystem"))
-            )
-            second = run_async(
-                service.handle_request(query_request("pancreas | DigestiveSystem"))
+            line = run_async(
+                service.handle_line(b'{"op":"query","id":1,"query":"a b"}\n')
             )
         finally:
             service.close()
-        assert "cached" not in first
-        assert second["cached"] is True
-        assert second["hits"] == first["hits"]
-        assert service.result_cache.metrics.hits == 1
+        response = json.loads(line)
+        assert response["status"] == "error"
+        assert response["id"] == 1
+        assert response["error"] == "RuntimeError: engine bug"
+        assert service.metrics.errors == 1
 
     def test_cache_respects_predicate_canonicalisation(self, handmade_engine):
         service = make_service(handmade_engine)
@@ -669,38 +769,6 @@ class TestQueryService:
             assert [hit["score"] for hit in response["hits"]] == [
                 hit.score for hit in serial.hits
             ]
-
-    def test_shed_when_queue_full(self, handmade_engine):
-        service = make_service(handmade_engine, max_pending=1)
-        try:
-            assert service.admission.try_admit()  # occupy the only slot
-            response = run_async(
-                service.handle_request(query_request("pancreas | Diseases"))
-            )
-        finally:
-            service.admission.release()
-            service.close()
-        assert response["status"] == "shed"
-        assert "overloaded" in response["error"]
-        assert service.metrics.shed == 1
-
-    def test_degrades_to_forced_path_when_deep(self, handmade_engine):
-        service = make_service(
-            handmade_engine, max_pending=8, degrade_depth=1, cache_enabled=False
-        )
-        try:
-            # Any admitted request now sees depth >= degrade_depth.
-            response = run_async(
-                service.handle_request(query_request("pancreas | DigestiveSystem"))
-            )
-        finally:
-            service.close()
-        assert response["status"] == "ok"
-        assert response["degraded"] is True
-        assert response["report"]["resolution"]["path"] == "straightforward"
-        # Degradation must not change the answer.
-        serial = handmade_engine.search("pancreas | DigestiveSystem", top_k=5)
-        assert [h["doc"] for h in response["hits"]] == serial.external_ids()
 
     def test_deadline_expired_skipped_before_execution(self, handmade_engine):
         """A request whose deadline passes while queued never reaches the engine."""
