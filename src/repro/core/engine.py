@@ -43,7 +43,14 @@ from .operators import (
     ViewScan,
 )
 from .optimizer import PATH_AUTO, PATH_VIEWS, Optimizer
-from .query import ContextQuery, ContextSpecification, KeywordQuery, parse_query
+from .query import (
+    ContextQuery,
+    ContextSpecification,
+    KeywordQuery,
+    analyze_keyword,
+    analyze_query,
+    parse_query,
+)
 from .ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
 from .report import ExecutionReport
 from .scoring import rank_candidates, score_candidates
@@ -419,7 +426,8 @@ class ContextSearchEngine:
         """
         if not isinstance(context, ContextSpecification):
             context = ContextSpecification(context)
-        keywords = [self._analyze_keyword(w) for w in keywords] or ["__none__"]
+        analyzed = [analyze_keyword(self.index.analyzer, w) for w in keywords]
+        keywords = analyzed or ["__none__"]
         probe = ContextQuery(KeywordQuery(keywords), context)
         specs = self.ranking.required_collection_specs(keywords)
         execution = self.plan.execute(probe, specs)
@@ -432,23 +440,10 @@ class ContextSearchEngine:
             return parse_query(query)
         return query
 
-    def _analyze_keyword(self, keyword: str) -> str:
-        analyzed = self.index.analyzer.analyze_query_term(keyword)
-        if analyzed is None:
-            raise QueryError(f"keyword {keyword!r} was removed by analysis (stopword?)")
-        return analyzed
-
     def _analyze(self, query: ContextQuery) -> ContextQuery:
         """Run query terms through the index's analyzers."""
-        keywords = [self._analyze_keyword(w) for w in query.keywords]
-        predicates = []
-        for m in query.predicates:
-            analyzed = self.index.predicate_analyzer.analyze_query_term(m)
-            if analyzed is None:
-                raise QueryError(f"empty context predicate: {m!r}")
-            predicates.append(analyzed)
-        return ContextQuery(
-            KeywordQuery(keywords), ContextSpecification(predicates)
+        return analyze_query(
+            query, self.index.analyzer, self.index.predicate_analyzer
         )
 
     def _resolve_statistics(

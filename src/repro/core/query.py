@@ -122,3 +122,28 @@ def parse_query(text: str) -> ContextQuery:
         KeywordQuery(keyword_part.split()),
         ContextSpecification(predicate_part.split()),
     )
+
+
+def analyze_keyword(analyzer, keyword: str) -> str:
+    """One query keyword through the index's content analyzer."""
+    analyzed = analyzer.analyze_query_term(keyword)
+    if analyzed is None:
+        raise QueryError(f"keyword {keyword!r} was removed by analysis (stopword?)")
+    return analyzed
+
+
+def analyze_query(query: ContextQuery, analyzer, predicate_analyzer) -> ContextQuery:
+    """Run a parsed query's terms through an index's analyzers.
+
+    The flat engine, the sharded engine and the cluster's shard workers
+    all analyse through this function, so a stopword keyword or an empty
+    predicate fails with the same message on every shape.
+    """
+    keywords = [analyze_keyword(analyzer, w) for w in query.keywords]
+    predicates = []
+    for m in query.predicates:
+        analyzed = predicate_analyzer.analyze_query_term(m)
+        if analyzed is None:
+            raise QueryError(f"empty context predicate: {m!r}")
+        predicates.append(analyzed)
+    return ContextQuery(KeywordQuery(keywords), ContextSpecification(predicates))

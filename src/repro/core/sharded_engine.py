@@ -87,7 +87,14 @@ from .optimizer import (
     PathCandidate,
     selective_first_bound,
 )
-from .query import ContextQuery, ContextSpecification, KeywordQuery, parse_query
+from .query import (
+    ContextQuery,
+    ContextSpecification,
+    KeywordQuery,
+    analyze_keyword,
+    analyze_query,
+    parse_query,
+)
 from .ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
 from .report import ShardReport
 from .scoring import rank_candidates, score_candidates
@@ -454,13 +461,14 @@ class _QueryMerge:
 class ShardMergePlan:
     """Everything rank-affecting about merging per-shard scatter output.
 
-    Both gather transports drive one of these per batch: the in-process
-    :class:`ShardedEngine` backends feed it runtime output tuples, and
-    the cluster router (:mod:`repro.service.cluster`) feeds it decoded
-    worker frames.  Additive :class:`StatsMerge` accumulation, the
-    global context-emptiness check, global per-term score bounds, the
-    shared top-k threshold construction, and the final ``(-score, gid)``
-    rank all live here — so the local and over-the-wire paths cannot
+    Both gather transports drive one of these per batch and feed it the
+    same runtime output tuples: the in-process :class:`ShardedEngine`
+    backends straight from :class:`ShardRuntime`, the cluster router
+    (:mod:`repro.service.cluster`) as decoded from worker replies.
+    Additive :class:`StatsMerge` accumulation, the global
+    context-emptiness check, global per-term score bounds, the shared
+    top-k threshold construction, and the final ``(-score, gid)`` rank
+    all live here — so the local and over-the-wire paths cannot
     drift apart: identical shard outputs merge to bit-identical
     rankings regardless of transport.
 
@@ -1108,7 +1116,8 @@ class ShardedEngine:
         """Merged global context statistics (straightforward plan, no views)."""
         if not isinstance(context, ContextSpecification):
             context = ContextSpecification(context)
-        keywords = [self._analyze_keyword(w) for w in keywords] or ["__none__"]
+        analyzed = [analyze_keyword(self._analyzer, w) for w in keywords]
+        keywords = analyzed or ["__none__"]
         specs = self.ranking.required_collection_specs(keywords)
         StatsMerge.check_additive(specs)
         tasks = [
@@ -1180,7 +1189,9 @@ class ShardedEngine:
         for qid, query in enumerate(queries):
             try:
                 parsed = parse_query(query) if isinstance(query, str) else query
-                analyzed_query = self._analyze(parsed)
+                analyzed_query = analyze_query(
+                    parsed, self._analyzer, self._predicate_analyzer
+                )
                 specs_by_qid[qid] = plan.add_query(qid, analyzed_query)
                 analyzed[qid] = analyzed_query
             except ReproError as exc:
@@ -1356,28 +1367,6 @@ class ShardedEngine:
             cached = self.sharded_index.term_count(term)
             self._global_tc_cache[term] = cached
         return cached
-
-    # -- analysis (mirrors ContextSearchEngine) --------------------------
-
-    def _analyze_keyword(self, keyword: str) -> str:
-        analyzed = self._analyzer.analyze_query_term(keyword)
-        if analyzed is None:
-            raise QueryError(
-                f"keyword {keyword!r} was removed by analysis (stopword?)"
-            )
-        return analyzed
-
-    def _analyze(self, query: ContextQuery) -> ContextQuery:
-        keywords = [self._analyze_keyword(w) for w in query.keywords]
-        predicates = []
-        for m in query.predicates:
-            analyzed = self._predicate_analyzer.analyze_query_term(m)
-            if analyzed is None:
-                raise QueryError(f"empty context predicate: {m!r}")
-            predicates.append(analyzed)
-        return ContextQuery(
-            KeywordQuery(keywords), ContextSpecification(predicates)
-        )
 
 
 def _merge_paths(paths: set) -> str:

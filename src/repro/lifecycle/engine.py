@@ -337,13 +337,20 @@ class LifecycleEngine:
         if not isinstance(engine, ContextSearchEngine):
             return engine.context_statistics(context, keywords)
         from ..core.operators import ExecutionContext, SegmentStatsResolve
-        from ..core.query import ContextQuery, ContextSpecification, KeywordQuery
+        from ..core.query import (
+            ContextQuery,
+            ContextSpecification,
+            KeywordQuery,
+            analyze_keyword,
+        )
         from ..core.statistics import CollectionStatistics
         from ..errors import QueryError
 
         if not isinstance(context, ContextSpecification):
             context = ContextSpecification(context)
-        analyzed = [engine._analyze_keyword(w) for w in keywords] or ["__none__"]
+        analyzed = [
+            analyze_keyword(engine.index.analyzer, w) for w in keywords
+        ] or ["__none__"]
         probe = ContextQuery(KeywordQuery(analyzed), context)
         specs = engine.ranking.required_collection_specs(analyzed)
         resolve = SegmentStatsResolve(engine.index, use_skips=self.use_skips)

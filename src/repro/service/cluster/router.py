@@ -6,7 +6,10 @@ shedding, the result cache, degradation, deadlines, coalescing and the
 response envelope are the single-node server's own code.  Only the
 batch runner differs.  Where the server runs a batch on its engine, the
 router scatters it to every shard's replica group over persistent
-pipelined connections and folds the workers' frames through the *same*
+pipelined connections, decodes each reply once, at the replica call,
+into the tuples :class:`~repro.core.sharded_engine.ShardRuntime` returns
+in process (the shard-op codec in :mod:`~repro.service.protocol`), and
+folds them through the *same*
 :class:`~repro.core.sharded_engine.ShardMergePlan` the in-process
 backends drive.  That shared merge object is the whole consistency
 argument: additive statistics, the global emptiness check, per-term
@@ -16,14 +19,16 @@ so router rankings are bit-identical to a single-process
 
 Failover: every shard has an N-way replica group (consistent-hash
 placement from the cluster config).  An attempt that times out, cannot
-connect, or returns a malformed frame marks the replica and the query is
-retried on a sibling — phase-1 candidate ids travel through the router,
-so any replica of the group can serve any phase.  A replica is *down*
-after ``fail_threshold`` consecutive failures (in-flight or health
-probe) and is skipped until a ``healthz`` probe succeeds again; when a
-whole group is down the affected queries shed with one readable error
-naming the group and its last failures — never a traceback, never a
-hung future.
+connect, or returns a frame that does not decode (torn, not JSON, not
+ok, or not the op's layout from this group's shard) marks the replica
+and the query is retried on a sibling — phase-1 candidate ids travel
+through the router, so any replica of the group can serve any phase.
+A replica is *down* after ``fail_threshold`` consecutive failures
+(in-flight or health probe) and is skipped until a ``healthz`` probe
+succeeds again; when a whole group is down the affected queries shed
+with one readable error naming the group and its last failures — never
+a traceback, never a hung future.  Only a query the worker itself
+failed (``"{type}: {message}"``) is a per-query error.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from ... import __version__
 from ...core.backend import VersionAuthority, VersionVector
 from ...core.logical import MODE_CONVENTIONAL, MODE_DISJUNCTIVE
 from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
-from ...core.report import _counter_from_dict
 from ...core.sharded_engine import ShardMergePlan, _rebuild_query
 from ...errors import QueryError, ReproError
 from ..admission import Ticket
@@ -54,7 +58,10 @@ from ..protocol import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
+    ProtocolError,
     Request,
+    decode_shard_reply,
+    encode_shard_request,
 )
 from ..server import (
     PATH_AUTO,
@@ -108,7 +115,8 @@ class WorkerTimeout(WorkerError):
 
 
 class WorkerProtocolError(WorkerError):
-    """The worker sent bytes that are not a JSON-lines response frame."""
+    """The worker sent bytes that are not a JSON-lines response frame,
+    or a frame that does not fit its shard op's layout."""
 
     def __init__(self, address: str, detail: str):
         super().__init__(address, f"sent a malformed response frame ({detail})")
@@ -408,11 +416,11 @@ class RouterService(QueryService):
     drops tickets whose deadline passed, then runs the phase-1
     ``shard_resolve`` scatter (workers analyse; additive stats come
     back) → :class:`ShardMergePlan` merge → mode-specific phase 2 →
-    merged rank.  A whole replica group down sheds the batch; any other
-    worker failure errors it.  What is its own: replica groups with
-    health probes and failover, the version authority,
-    ``install_catalog`` / ``update_placement``, and the ``router``
-    sections of ``healthz`` and ``metrics``.
+    merged rank.  A group with no replica left that answers sheds the
+    batch; a query a worker failed errors alone.  What is its own:
+    replica groups with health probes and failover, the version
+    authority, ``install_catalog`` / ``update_placement``, and the
+    ``router`` sections of ``healthz`` and ``metrics``.
     """
 
     # SearchBackend constraint declarations for the adaptive controller:
@@ -746,8 +754,6 @@ class RouterService(QueryService):
             # with one readable error naming the group and its failures.
             self.metrics.record_group_down()
             outcomes = [{"status": STATUS_SHED, "error": str(exc)}] * len(live)
-        except WorkerError as exc:
-            outcomes = [{"status": STATUS_ERROR, "error": str(exc)}] * len(live)
         for slot, outcome in zip(live, outcomes):
             out[slot] = outcome
         return out
@@ -759,6 +765,10 @@ class RouterService(QueryService):
         path: str,
         queries: Sequence[str],
     ) -> List[dict]:
+        """One batch through the cluster, folded like ``ShardedEngine``:
+        the ``shard_resolve`` scatter (workers analyse and resolve),
+        then the mode's phase 2, every shard's decoded tuples fed to one
+        :class:`ShardMergePlan` in ascending shard order."""
         plan = ShardMergePlan(
             self.ranking,
             mode,
@@ -766,447 +776,233 @@ class RouterService(QueryService):
             forced=path not in (None, PATH_AUTO),
         )
         outcomes: List[Optional[dict]] = [None] * len(queries)
-        payload = {
-            "op": OP_SHARD_RESOLVE,
-            "mode": mode,
-            "path": path,
-            "tasks": [
-                {"qid": qid, "query": query}
-                for qid, query in enumerate(queries)
-            ],
-        }
-        shard_maps = await self._scatter([payload] * len(self.groups))
-
-        # Register queries off shard 0's analysis (every worker runs the
-        # same analyzers; a per-query analysis failure is identical on
-        # all shards and surfaces as one readable error here).
+        qids = list(range(len(queries)))
+        resolved = await self._scatter(
+            OP_SHARD_RESOLVE,
+            [[(qid, query, mode, path) for qid, query in enumerate(queries)]]
+            * len(self.groups),
+            qids,
+            mode,
+        )
+        # Every shard runs the same analysers: shard 0's terms register
+        # the query, and a failure on any shard fails it with that
+        # worker's "{type}: {message}".
         live: List[int] = []
-        analyzed: Dict[int, dict] = {}
-        address0 = shard_maps[0][0]
-        for qid in range(len(queries)):
-            entry = shard_maps[0][1].get(qid)
-            if entry is None:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address0} omitted query {qid} from its "
-                        "response frame"
-                    ),
-                }
-                continue
-            if not entry.get("ok"):
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"{entry.get('error_type', 'QueryError')}: "
-                        f"{entry.get('error', 'worker reported an error')}"
-                    ),
-                }
-                continue
-            try:
-                plan.add_query(
-                    qid,
-                    _rebuild_query(entry["keywords"], entry["predicates"]),
-                )
-            except ReproError as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                continue
-            except (KeyError, TypeError, ValueError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address0}: malformed phase-1 entry for "
-                        f"query {qid}: {exc!r}"
-                    ),
-                }
-                continue
-            live.append(qid)
-            analyzed[qid] = entry
-
-        if live:
-            if mode == MODE_CONVENTIONAL:
-                await self._gather_conventional(
-                    plan, live, analyzed, shard_maps, outcomes, top_k
-                )
-            elif mode == MODE_DISJUNCTIVE:
-                await self._gather_disjunctive(
-                    plan, live, analyzed, shard_maps, outcomes
-                )
+        for qid in qids:
+            entries = [replies[qid] for replies in resolved]
+            error = next((e for e in entries if isinstance(e, str)), None)
+            if error is None:
+                try:
+                    plan.add_query(qid, _rebuild_query(*entries[0][:2]))
+                except ReproError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+            if error is None:
+                live.append(qid)
             else:
-                await self._gather_context(
-                    plan, live, analyzed, shard_maps, outcomes, top_k
-                )
-        return [
-            outcome
-            if outcome is not None
-            else {"status": STATUS_ERROR, "error": "query produced no result"}
-            for outcome in outcomes
-        ]
+                outcomes[qid] = {"status": STATUS_ERROR, "error": error}
+        if live:
+            gather = {
+                MODE_CONVENTIONAL: self._gather_conventional,
+                MODE_DISJUNCTIVE: self._gather_disjunctive,
+            }.get(mode, self._gather_context)
+            for qid in await gather(plan, live, resolved, outcomes):
+                outcomes[qid] = ok_outcome(mode, plan.finish(qid))
+        return outcomes
 
-    def _fold_resolutions(
-        self,
-        plan: ShardMergePlan,
-        live: List[int],
-        shard_maps: List[Tuple[str, Dict[int, dict]]],
-        outcomes: List[Optional[dict]],
-        with_num_results: bool,
-    ) -> List[int]:
-        """Fold every shard's phase-1 statistics (ascending shard order)
-        and run the global emptiness check; returns the surviving qids."""
-        survivors: List[int] = []
+    @staticmethod
+    def _complete_resolutions(plan, live, outcomes) -> List[int]:
+        """The global emptiness check once every shard has reported;
+        returns the qids that go on to phase 2."""
+        survivors = []
         for qid in live:
-            address = shard_maps[0][0]
-            try:
-                specs = plan.specs(qid)
-                for shard_id in range(len(self.groups)):
-                    address, mapping = shard_maps[shard_id]
-                    entry = self._shard_entry(mapping, qid, address)
-                    plan.add_resolution(
-                        qid,
-                        shard_id,
-                        self._unpack_values(specs, entry["values"], address),
-                        entry["path"],
-                        int(entry["predicted"]),
-                        _counter_from_dict(entry["counter"]),
-                        num_results=(
-                            int(entry.get("num_results", 0))
-                            if with_num_results
-                            else 0
-                        ),
-                    )
-            except WorkerError as exc:
-                outcomes[qid] = {"status": STATUS_ERROR, "error": str(exc)}
-                continue
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address}: malformed phase-1 entry for "
-                        f"query {qid}: {exc!r}"
-                    ),
-                }
-                continue
             error = plan.complete_resolution(qid)
-            if error is not None:
+            if error is None:
+                survivors.append(qid)
+            else:
                 outcomes[qid] = {
                     "status": STATUS_ERROR,
                     "error": f"{type(error).__name__}: {error}",
                 }
-                continue
-            survivors.append(qid)
         return survivors
 
-    async def _gather_context(
-        self, plan, live, analyzed, shard_maps, outcomes, top_k
-    ) -> None:
-        phase2 = self._fold_resolutions(
-            plan, live, shard_maps, outcomes, with_num_results=True
-        )
+    async def _gather_context(self, plan, live, resolved, outcomes):
+        for shard_id, replies in enumerate(resolved):
+            for qid in live:
+                _, _, values, num_results, path, predicted, counter, _ = (
+                    replies[qid]
+                )
+                plan.add_resolution(
+                    qid, shard_id, values, path, predicted, counter, num_results
+                )
+        phase2 = self._complete_resolutions(plan, live, outcomes)
         if not phase2:
-            return
-        # Phase 2: broadcast the merged statistics; each shard re-scores
-        # its own phase-1 candidates (their ids travelled through us, so
-        # any replica of the group can serve this).
-        payloads = []
-        for shard_id in range(len(self.groups)):
-            _, mapping = shard_maps[shard_id]
-            tasks = []
+            return []
+        # Each shard re-scores its own phase-1 candidates under the
+        # merged statistics; their ids travel through the router, so any
+        # replica of the group can serve this.
+        scored = await self._scatter(
+            OP_SHARD_SCORE,
+            [
+                [
+                    (
+                        qid,
+                        plan.query(qid).keywords,
+                        replies[qid][-1],
+                        plan.merged_values(qid),
+                        plan.top_k,
+                    )
+                    for qid in phase2
+                ]
+                for replies in resolved
+            ],
+            phase2,
+        )
+        for replies in scored:
             for qid in phase2:
-                merged = plan.merged_values(qid)
-                tasks.append(
-                    {
-                        "qid": qid,
-                        "keywords": analyzed[qid]["keywords"],
-                        "values": [
-                            merged[spec] for spec in plan.specs(qid)
-                        ],
-                        "result_ids": mapping[qid]["result_ids"],
-                    }
-                )
-            payloads.append(
-                {"op": OP_SHARD_SCORE, "top_k": top_k, "tasks": tasks}
-            )
-        frames = await self._scatter(payloads)
-        for qid in phase2:
-            address = frames[0][0]
-            try:
-                for shard_id in range(len(self.groups)):
-                    address, mapping = frames[shard_id]
-                    entry = self._shard_entry(mapping, qid, address)
-                    plan.add_hits(qid, [tuple(hit) for hit in entry["hits"]])
-            except WorkerError as exc:
-                outcomes[qid] = {"status": STATUS_ERROR, "error": str(exc)}
-                continue
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address}: malformed phase-2 entry for "
-                        f"query {qid}: {exc!r}"
-                    ),
-                }
-                continue
-            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
+                plan.add_hits(qid, replies[qid][0])
+        return phase2
 
-    async def _gather_conventional(
-        self, plan, live, analyzed, shard_maps, outcomes, top_k
-    ) -> None:
-        # Merge each query's per-shard collection-statistic summands
-        # (exact integer sums), then broadcast the merged whole.
-        stats_by_qid: Dict[int, object] = {}
-        phase2: List[int] = []
+    async def _gather_conventional(self, plan, live, resolved, outcomes):
+        # Whole-collection statistics are exact sums of the shards'
+        # parts; one exchange then filters and scores.
+        tasks = []
         for qid in live:
-            address = shard_maps[0][0]
-            try:
-                parts = []
-                for shard_id in range(len(self.groups)):
-                    address, mapping = shard_maps[shard_id]
-                    parts.append(
-                        self._shard_entry(mapping, qid, address)["collection"]
-                    )
-                stats_by_qid[qid] = ShardMergePlan.merge_collection_stats(
-                    parts
-                )
-            except WorkerError as exc:
-                outcomes[qid] = {"status": STATUS_ERROR, "error": str(exc)}
-                continue
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address}: malformed phase-1 entry for "
-                        f"query {qid}: {exc!r}"
-                    ),
-                }
-                continue
-            phase2.append(qid)
-        if not phase2:
-            return
-        payload = {
-            "op": OP_SHARD_CONVENTIONAL,
-            "top_k": top_k,
-            "tasks": [
-                {
-                    "qid": qid,
-                    "keywords": analyzed[qid]["keywords"],
-                    "predicates": analyzed[qid]["predicates"],
-                    "stats": {
-                        "num_docs": stats_by_qid[qid].cardinality,
-                        "total_length": stats_by_qid[qid].total_length,
-                        "df": stats_by_qid[qid].df,
-                        "tc": stats_by_qid[qid].tc,
-                    },
-                }
-                for qid in phase2
-            ],
-        }
-        frames = await self._scatter([payload] * len(self.groups))
-        for qid in phase2:
-            address = frames[0][0]
-            try:
-                for shard_id in range(len(self.groups)):
-                    address, mapping = frames[shard_id]
-                    entry = self._shard_entry(mapping, qid, address)
-                    plan.add_conventional(
-                        qid,
-                        shard_id,
-                        [tuple(hit) for hit in entry["hits"]],
-                        int(entry["num_results"]),
-                        int(entry["predicted"]),
-                        _counter_from_dict(entry["counter"]),
-                    )
-            except WorkerError as exc:
-                outcomes[qid] = {"status": STATUS_ERROR, "error": str(exc)}
-                continue
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address}: malformed conventional entry "
-                        f"for query {qid}: {exc!r}"
-                    ),
-                }
-                continue
-            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
-
-    async def _gather_disjunctive(
-        self, plan, live, analyzed, shard_maps, outcomes
-    ) -> None:
-        phase2 = self._fold_resolutions(
-            plan, live, shard_maps, outcomes, with_num_results=False
-        )
-        if not phase2:
-            return
-        # Global per-term bounds: the collection-wide max tf is the max
-        # over per-shard maxima — the same integer the sharded index's
-        # accessor computes locally, hence identical bounds and term
-        # orderings on every shard.
-        bounds_by_qid: Dict[int, Dict[str, float]] = {}
-        for qid in list(phase2):
-            max_tfs: Dict[str, int] = {}
-            for shard_id in range(len(self.groups)):
-                entry = shard_maps[shard_id][1].get(qid) or {}
-                for term, max_tf in (entry.get("max_tf") or {}).items():
-                    max_tfs[term] = max(max_tfs.get(term, 0), int(max_tf))
-            bounds_by_qid[qid] = plan.term_bounds(
-                qid, lambda term: max_tfs.get(term, 0)
+            query = plan.query(qid)
+            stats = ShardMergePlan.merge_collection_stats(
+                [replies[qid][2] for replies in resolved]
             )
-        payload = {
-            "op": OP_SHARD_TOPK,
-            "tasks": [
-                {
-                    "qid": qid,
-                    "keywords": analyzed[qid]["keywords"],
-                    "predicates": analyzed[qid]["predicates"],
-                    "values": [
-                        plan.merged_values(qid)[spec]
-                        for spec in plan.specs(qid)
-                    ],
-                    "k": plan.top_k,
-                    "term_bounds": bounds_by_qid[qid],
-                    "block_max": True,
-                }
-                for qid in phase2
-            ],
-        }
-        frames = await self._scatter([payload] * len(self.groups))
+            tasks.append(
+                (qid, query.keywords, query.predicates, stats, plan.top_k)
+            )
+        found = await self._scatter(
+            OP_SHARD_CONVENTIONAL, [tasks] * len(self.groups), live
+        )
+        for shard_id, replies in enumerate(found):
+            for qid in live:
+                hits, num_results, predicted, counter = replies[qid]
+                plan.add_conventional(
+                    qid, shard_id, hits, num_results, predicted, counter
+                )
+        return live
+
+    async def _gather_disjunctive(self, plan, live, resolved, outcomes):
+        for shard_id, replies in enumerate(resolved):
+            for qid in live:
+                _, _, values, path, predicted, counter, _ = replies[qid]
+                plan.add_resolution(
+                    qid, shard_id, values, path, predicted, counter
+                )
+        phase2 = self._complete_resolutions(plan, live, outcomes)
+        tasks = []
         for qid in phase2:
-            address = frames[0][0]
-            try:
-                for shard_id in range(len(self.groups)):
-                    address, mapping = frames[shard_id]
-                    entry = self._shard_entry(mapping, qid, address)
-                    plan.add_topk(
-                        qid,
-                        shard_id,
-                        [tuple(hit) for hit in entry["hits"]],
-                        _counter_from_dict(entry["counter"]),
-                        entry["topk"],
-                        True,
-                    )
-            except WorkerError as exc:
-                outcomes[qid] = {"status": STATUS_ERROR, "error": str(exc)}
-                continue
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": (
-                        f"worker {address}: malformed top-k entry for "
-                        f"query {qid}: {exc!r}"
-                    ),
-                }
-                continue
-            outcomes[qid] = ok_outcome(plan.mode, plan.finish(qid))
+            # The collection-wide max tf is the max over per-shard
+            # maxima — the integer the sharded index computes locally,
+            # hence the same bounds and term orderings on every shard.
+            max_tfs = [replies[qid][-1] for replies in resolved]
+            bounds = plan.term_bounds(
+                qid, lambda term: max(m.get(term, 0) for m in max_tfs)
+            )
+            query = plan.query(qid)
+            tasks.append(
+                (
+                    qid,
+                    query.keywords,
+                    query.predicates,
+                    plan.merged_values(qid),
+                    plan.top_k,
+                    bounds,
+                    True,
+                )
+            )
+        if not tasks:
+            return []
+        found = await self._scatter(
+            OP_SHARD_TOPK, [tasks] * len(self.groups), phase2
+        )
+        for shard_id, replies in enumerate(found):
+            for qid in phase2:
+                hits, counter, topk_diag = replies[qid]
+                plan.add_topk(qid, shard_id, hits, counter, topk_diag, True)
+        return phase2
 
     # -- scatter / failover ------------------------------------------------
 
     async def _scatter(
-        self, payloads: Sequence[dict]
-    ) -> List[Tuple[str, Dict[int, dict]]]:
-        """One payload per shard group, concurrently; returns per shard
-        the answering replica's address and its results keyed by qid.
-        Raises :class:`GroupUnavailable` if any group has no live
-        replica left after failover."""
-        responses = await asyncio.gather(
+        self,
+        op: str,
+        tasks: Sequence[Sequence[tuple]],
+        qids: Sequence[int],
+        mode: Optional[str] = None,
+    ) -> List[Dict[int, object]]:
+        """One ``op`` request per shard group (``tasks[shard_id]``),
+        concurrently; returns every group's decoded reply, keyed by qid.
+        Raises :class:`GroupUnavailable` if any group has no replica
+        left that answers."""
+        replies = await asyncio.gather(
             *[
-                self._call_group(self.groups[shard_id], payloads[shard_id])
-                for shard_id in range(len(self.groups))
+                self._call_group(group, op, group_tasks, qids, mode)
+                for group, group_tasks in zip(self.groups, tasks)
             ],
             return_exceptions=True,
         )
-        out: List[Tuple[str, Dict[int, dict]]] = []
-        for response in responses:
-            if isinstance(response, BaseException):
-                raise response
-            address, frame = response
-            mapping: Dict[int, dict] = {}
-            for item in frame.get("results") or []:
-                if isinstance(item, dict) and isinstance(
-                    item.get("qid"), int
-                ):
-                    mapping[item["qid"]] = item
-            out.append((address, mapping))
-        return out
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+        return replies
 
     async def _call_group(
-        self, group: ReplicaGroup, payload: dict
-    ) -> Tuple[str, dict]:
+        self,
+        group: ReplicaGroup,
+        op: str,
+        tasks: Sequence[tuple],
+        qids: Sequence[int],
+        mode: Optional[str],
+    ) -> Dict[int, object]:
         """Send to the group with failover: every replica gets at most
-        one attempt under the per-attempt deadline budget; the first
-        well-formed ``ok`` frame wins."""
+        one attempt under the per-attempt deadline budget, and the first
+        reply that decodes wins.  This is the one place a worker's reply
+        is checked: a connection failure, a timeout, a torn or non-JSON
+        line, an error status, and a frame that does not fit its op's
+        layout (wrong shard, missing qid, missing or mistyped field) all
+        fail the attempt, mark the replica and move to a sibling."""
+        payload = encode_shard_request(op, tasks, self.ranking)
         errors: List[str] = []
-        first = True
-        for replica in group.candidates():
-            if not first:
+        for attempt, replica in enumerate(group.candidates()):
+            if attempt:
                 self.metrics.record_failover()
-            first = False
             started = time.monotonic()
             try:
                 response = await replica.call(
                     payload, self.options.attempt_timeout_ms / 1000.0
                 )
+                if response.get("status") != STATUS_OK:
+                    raise WorkerError(
+                        replica.address,
+                        f"answered {response.get('status')!r}: "
+                        f"{response.get('error') or 'no error text'}",
+                    )
+                replies = decode_shard_reply(
+                    op, response, group.shard_id, qids, self.ranking, mode
+                )
+            except ProtocolError as exc:
+                error = str(WorkerProtocolError(replica.address, str(exc)))
             except WorkerError as exc:
+                error = str(exc)
+            else:
                 self.metrics.record_attempt(
-                    group.shard_id, time.monotonic() - started, ok=False
+                    group.shard_id, time.monotonic() - started, ok=True
                 )
-                replica.note_failure(str(exc))
-                errors.append(str(exc))
-                continue
-            elapsed = time.monotonic() - started
-            if response.get("status") != STATUS_OK:
-                error = (
-                    f"worker {replica.address} answered "
-                    f"{response.get('status')!r}: "
-                    f"{response.get('error') or 'no error text'}"
-                )
-                self.metrics.record_attempt(group.shard_id, elapsed, ok=False)
-                replica.note_failure(error)
-                errors.append(error)
-                continue
-            if not isinstance(response.get("results"), list):
-                error = (
-                    f"worker {replica.address} returned a frame with no "
-                    "results list"
-                )
-                self.metrics.record_attempt(group.shard_id, elapsed, ok=False)
-                replica.note_failure(error)
-                errors.append(error)
-                continue
-            self.metrics.record_attempt(group.shard_id, elapsed, ok=True)
-            replica.note_success()
-            return replica.address, response
+                replica.note_success()
+                return replies
+            self.metrics.record_attempt(
+                group.shard_id, time.monotonic() - started, ok=False
+            )
+            replica.note_failure(error)
+            errors.append(error)
         raise GroupUnavailable(
             group.shard_id,
             "; ".join(errors) if errors else "no replicas configured",
         )
-
-    @staticmethod
-    def _shard_entry(
-        mapping: Dict[int, dict], qid: int, address: str
-    ) -> dict:
-        entry = mapping.get(qid)
-        if entry is None:
-            raise WorkerProtocolError(address, f"response omitted query {qid}")
-        if entry.get("ok") is False:
-            raise WorkerError(
-                address,
-                f"{entry.get('error_type', 'QueryError')}: "
-                f"{entry.get('error', 'worker reported an error')}",
-            )
-        return entry
-
-    @staticmethod
-    def _unpack_values(specs, packed, address: str) -> dict:
-        if len(packed) != len(specs):
-            raise WorkerProtocolError(
-                address,
-                f"returned {len(packed)} statistic values for "
-                f"{len(specs)} specs (ranking mismatch?)",
-            )
-        return dict(zip(specs, packed))
 
     # -- aggregated health and metrics -------------------------------------
 

@@ -8,7 +8,10 @@ control, metrics, and ``healthz`` an operator already knows, plus:
   ``shard_topk`` / ``shard_conventional``) the router scatter-gathers,
   evaluated by the *same* :class:`~repro.core.sharded_engine.ShardRuntime`
   the in-process backends drive (there is no worker-specific resolution
-  or scoring code — that is the bit-identity argument's first half);
+  or scoring code — that is the bit-identity argument's first half).
+  Frames are read and built only through the shard-op codec in
+  :mod:`~repro.service.protocol`: a phase-2 task decodes to the runtime's
+  own input tuple and its output tuple encodes as the reply entry;
 - segment shipping (``segment_manifest`` / ``fetch_segment``) so a new
   replica bootstraps from this worker's sealed artefact files;
 - catalog install (``install_catalog``): the router ships crc-verified
@@ -28,30 +31,28 @@ A batch of shard tasks arrives as one frame and is executed on the
 service's worker pool off the event loop; per-task failures (stopword
 keywords, bad syntax) come back as per-task error entries, and a
 malformed payload is a readable per-frame error — never a traceback
-on the router's socket.
+on the router's socket.  Every cluster-op reply carries this worker's
+shard id, which the router checks against the group it called.
 """
 
 from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ...core.engine import ContextSearchEngine
 from ...core.logical import MODE_CONVENTIONAL, MODE_DISJUNCTIVE
-from ...core.operators import StatsMerge
-from ...core.query import parse_query
+from ...core.query import analyze_query, parse_query
 from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
-from ...core.report import _counter_from_dict, _counter_to_dict
 from ...core.sharded_engine import ShardRuntime
-from ...core.statistics import TERM_COUNT, CollectionStatistics
+from ...core.statistics import TERM_COUNT
 from ...errors import QueryError, ReproError
 from ...index.sharded import IndexShard
 from ...views.handle import CatalogHandle
 from ..protocol import (
     CLUSTER_OPS,
     MAX_CLUSTER_LINE_BYTES,
-    OP_FETCH_SEGMENT,
     OP_INSTALL_CATALOG,
     OP_SEGMENT_MANIFEST,
     OP_SHARD_CONVENTIONAL,
@@ -61,8 +62,12 @@ from ..protocol import (
     STATUS_ERROR,
     STATUS_OK,
     Request,
+    decode_shard_tasks,
+    encode_shard_entry,
+    encode_shard_error,
+    encode_shard_reply,
 )
-from ..server import PATH_AUTO, QueryService, ServerThread, ServiceConfig
+from ..server import QueryService, ServerThread, ServiceConfig
 from .shipping import ArtifactShipper, decode_catalog_frame
 
 __all__ = ["ShardWorkerService", "worker_service_factory", "worker_thread"]
@@ -110,7 +115,7 @@ class ShardWorkerService(QueryService):
                 "status": STATUS_ERROR,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             # A malformed frame from a confused router: answer readably,
             # never let a traceback tear the connection down.
             response = {
@@ -119,17 +124,28 @@ class ShardWorkerService(QueryService):
             }
         if request.id is not None:
             response["id"] = request.id
+        # The router rejects a reply stamped with another group's shard:
+        # a mis-wired placement fails loudly instead of merging it.
+        response["shard"] = self.runtime.shard_id
         return response
 
     def _dispatch_cluster(self, op: str, payload: dict) -> dict:
         if op == OP_SHARD_RESOLVE:
             return self._shard_resolve(payload)
-        if op == OP_SHARD_SCORE:
-            return self._shard_score(payload)
-        if op == OP_SHARD_TOPK:
-            return self._shard_topk(payload)
-        if op == OP_SHARD_CONVENTIONAL:
-            return self._shard_conventional(payload)
+        if op in (OP_SHARD_SCORE, OP_SHARD_TOPK, OP_SHARD_CONVENTIONAL):
+            # Phase 2: the router's tasks are ShardRuntime's own tuples;
+            # candidate ids and merged statistics travel with the task.
+            tasks = decode_shard_tasks(op, payload, self.ranking)
+            if op == OP_SHARD_SCORE:
+                rows = [
+                    (qid, self.runtime.score_stateless(*task))
+                    for qid, *task in tasks
+                ]
+            elif op == OP_SHARD_TOPK:
+                rows = self.runtime.topk_many(tasks)
+            else:
+                rows = self.runtime.conventional_many(tasks)
+            return encode_shard_reply(encode_shard_entry(op, row) for row in rows)
         if op == OP_INSTALL_CATALOG:
             return self._install_catalog(payload)
         if self._shipper is None:
@@ -143,189 +159,46 @@ class ShardWorkerService(QueryService):
             payload["name"], payload.get("offset", 0), payload.get("length")
         )
 
-    # -- analysis (must mirror ShardedEngine._analyze exactly) -----------
-
-    def _analyze_text(self, text: str) -> Tuple[List[str], List[str]]:
-        parsed = parse_query(text)
-        keywords = []
-        for keyword in parsed.keywords:
-            analyzed = self.runtime.index.analyzer.analyze_query_term(keyword)
-            if analyzed is None:
-                raise QueryError(
-                    f"keyword {keyword!r} was removed by analysis (stopword?)"
-                )
-            keywords.append(analyzed)
-        predicates = []
-        for predicate in parsed.predicates:
-            analyzed = self.runtime.index.predicate_analyzer.analyze_query_term(
-                predicate
-            )
-            if analyzed is None:
-                raise QueryError(f"empty context predicate: {predicate!r}")
-            predicates.append(analyzed)
-        return keywords, predicates
-
-    # -- shard phases ----------------------------------------------------
+    # -- phase 1 ---------------------------------------------------------
 
     def _shard_resolve(self, payload: dict) -> dict:
-        """Phase 1: parse + analyse + per-shard additive statistics.
-
-        Workers own analysis (they hold the index's analyzers); the
-        router gets the analysed terms back and re-derives the spec
-        order itself — the same deterministic
-        ``required_collection_specs`` both sides run.
-        """
-        mode = payload.get("mode", "context")
-        force = payload.get("path") or None
-        if force == PATH_AUTO:
-            force = None
-        results = []
-        for task in payload["tasks"]:
-            qid = int(task["qid"])
+        """Phase 1: analyse, then resolve this shard's additive
+        statistics.  The router re-derives the spec order from the
+        analysed terms and validates each query through its
+        ``ShardMergePlan``; a query failing here is an error entry."""
+        entries = []
+        tasks = decode_shard_tasks(OP_SHARD_RESOLVE, payload)
+        for qid, text, mode, force in tasks:
             try:
-                results.append(self._resolve_one(qid, task["query"], mode, force))
+                entries.append(self._resolve_one(qid, text, mode, force))
             except ReproError as exc:
-                results.append(
-                    {
-                        "qid": qid,
-                        "ok": False,
-                        "error": str(exc),
-                        "error_type": type(exc).__name__,
-                    }
-                )
-        return {"results": results}
+                entries.append(encode_shard_error(qid, exc))
+        return encode_shard_reply(entries)
 
     def _resolve_one(self, qid: int, text: str, mode: str, force) -> dict:
-        keywords, predicates = self._analyze_text(text)
-        entry: dict = {
-            "qid": qid,
-            "ok": True,
-            "keywords": keywords,
-            "predicates": predicates,
-        }
+        index = self.runtime.index
+        query = analyze_query(
+            parse_query(text), index.analyzer, index.predicate_analyzer
+        )
+        keywords, predicates = query.keywords, query.predicates
         if mode == MODE_CONVENTIONAL:
-            entry["collection"] = self._collection_part(keywords)
-            return entry
-        if mode == MODE_DISJUNCTIVE and not self.ranking.decomposable:
-            raise QueryError(
-                f"ranking model {self.ranking.name!r} does not support "
-                "MaxScore pruning (non-zero score for absent terms)"
-            )
-        specs = tuple(self.ranking.required_collection_specs(keywords))
-        StatsMerge.check_additive(specs)
-        if mode == MODE_DISJUNCTIVE:
-            _, values, path, predicted, counter = self.runtime.stats_many(
-                [(qid, tuple(keywords), tuple(predicates), specs, True, force)]
-            )[0]
-            entry["max_tf"] = {
-                term: self.runtime.index.postings(term).max_tf
-                for term in dict.fromkeys(keywords)
-            }
+            row = (qid, keywords, predicates, self._collection_part(keywords))
         else:
-            (
-                (_, values, num_results, path, predicted, counter),
-                result_ids,
-            ) = self.runtime.resolve_stateless(
-                qid, tuple(keywords), tuple(predicates), specs, force
-            )
-            entry["num_results"] = num_results
-            entry["result_ids"] = result_ids
-        entry["values"] = [values[spec] for spec in specs]
-        entry["path"] = path
-        entry["predicted"] = predicted
-        entry["counter"] = _counter_to_dict(counter)
-        return entry
-
-    def _values_for(self, keywords: Sequence[str], packed: Sequence) -> dict:
-        """Rebuild the spec→value map from the wire's positional list."""
-        specs = tuple(self.ranking.required_collection_specs(keywords))
-        if len(specs) != len(packed):
-            raise QueryError(
-                f"statistic value list has {len(packed)} entries for "
-                f"{len(specs)} specs (router/worker ranking mismatch?)"
-            )
-        return dict(zip(specs, packed))
-
-    def _shard_score(self, payload: dict) -> dict:
-        top_k = payload.get("top_k")
-        results = []
-        for task in payload["tasks"]:
-            keywords = [str(w) for w in task["keywords"]]
-            values = self._values_for(keywords, task["values"])
-            hits = self.runtime.score_stateless(
-                keywords, [int(i) for i in task["result_ids"]], values, top_k
-            )
-            results.append({"qid": int(task["qid"]), "hits": hits})
-        return {"results": results}
-
-    def _shard_topk(self, payload: dict) -> dict:
-        results = []
-        for task in payload["tasks"]:
-            qid = int(task["qid"])
-            keywords = tuple(str(w) for w in task["keywords"])
-            values = self._values_for(keywords, task["values"])
-            out = self.runtime.topk_many(
-                [
-                    (
-                        qid,
-                        keywords,
-                        tuple(str(p) for p in task["predicates"]),
-                        values,
-                        int(task["k"]),
-                        {
-                            str(t): float(b)
-                            for t, b in task["term_bounds"].items()
-                        },
-                        bool(task.get("block_max", True)),
-                    )
-                ]
-            )[0]
-            _, hits, counter, topk_diag = out
-            results.append(
-                {
-                    "qid": qid,
-                    "hits": hits,
-                    "counter": _counter_to_dict(counter),
-                    "topk": topk_diag,
+            specs = tuple(self.ranking.required_collection_specs(keywords))
+            if mode == MODE_DISJUNCTIVE:
+                task = (qid, keywords, predicates, specs, True, force)
+                _, *stats = self.runtime.stats_many([task])[0]
+                max_tf = {
+                    term: index.postings(term).max_tf
+                    for term in dict.fromkeys(keywords)
                 }
-            )
-        return {"results": results}
-
-    def _shard_conventional(self, payload: dict) -> dict:
-        top_k = payload.get("top_k")
-        results = []
-        for task in payload["tasks"]:
-            qid = int(task["qid"])
-            merged = task["stats"]
-            stats = CollectionStatistics(
-                cardinality=int(merged["num_docs"]),
-                total_length=int(merged["total_length"]),
-                df={str(t): int(v) for t, v in merged.get("df", {}).items()},
-                tc={str(t): int(v) for t, v in merged.get("tc", {}).items()},
-            )
-            _, hits, num_results, predicted, counter = (
-                self.runtime.conventional_many(
-                    [
-                        (
-                            qid,
-                            tuple(str(w) for w in task["keywords"]),
-                            tuple(str(p) for p in task["predicates"]),
-                            stats,
-                            top_k,
-                        )
-                    ]
-                )[0]
-            )
-            results.append(
-                {
-                    "qid": qid,
-                    "hits": hits,
-                    "num_results": num_results,
-                    "predicted": predicted,
-                    "counter": _counter_to_dict(counter),
-                }
-            )
-        return {"results": results}
+                row = (qid, keywords, predicates, *stats, max_tf)
+            else:
+                (_, *stats), result_ids = self.runtime.resolve_stateless(
+                    qid, keywords, predicates, specs, force
+                )
+                row = (qid, keywords, predicates, *stats, result_ids)
+        return encode_shard_entry(OP_SHARD_RESOLVE, row, self.ranking, mode)
 
     # -- catalog install -------------------------------------------------
 

@@ -153,6 +153,21 @@ def run_local(engine, query: str, mode: str, top_k: int = 10):
     return "ok", [(hit.external_id, hit.score) for hit in results.hits]
 
 
+def drop_statistic_values(worker: ServerThread) -> str:
+    """Make one worker send its phase-1 entries without their ``values``
+    field, a reply the router must refuse; returns the worker's address."""
+    service = worker.service
+    resolve_one = service._resolve_one
+
+    def without_values(*args):
+        entry = resolve_one(*args)
+        entry.pop("values", None)
+        return entry
+
+    service._resolve_one = without_values
+    return "{}:{}".format(*worker.address)
+
+
 def assert_router_matches(client, engine, query, mode, top_k=10):
     response = client.request(
         {"op": "query", "query": query, "mode": mode, "top_k": top_k}
@@ -239,26 +254,28 @@ class TestBitIdentity:
         ):
             engine = ShardedEngine(sharded, executor="serial")
             client = ServiceClient(*router.address)
+            compared = 0
             try:
-                response = client.request(
-                    {
-                        "op": "query",
-                        "query": "pancreas leukemia | DigestiveSystem",
-                        "top_k": 10,
-                    }
-                )
-                local = engine.search(
-                    "pancreas leukemia | DigestiveSystem", top_k=10
-                )
-                remote_report = response["report"]
-                local_report = local.report.to_dict()
-                for key in ("context_size", "result_size"):
-                    assert remote_report[key] == local_report[key]
-                assert remote_report["counter"] == local_report["counter"]
-                assert len(remote_report["per_shard"]) == 2
+                for mode in MODES:
+                    for query in QUERIES:
+                        response = client.query(query, top_k=10, mode=mode)
+                        status, _ = run_local(engine, query, mode)
+                        assert response["status"] == status, (query, mode)
+                        if status != "ok":
+                            continue
+                        local = engine.explain(query, top_k=10, mode=mode)
+                        remote_report = dict(response["report"])
+                        local_report = local.report.to_dict()
+                        # Wall-clock is the one field that cannot match.
+                        del remote_report["elapsed_seconds"]
+                        del local_report["elapsed_seconds"]
+                        assert remote_report == local_report, (query, mode)
+                        assert len(remote_report["per_shard"]) == 2
+                        compared += 1
             finally:
                 client.close()
                 engine.close()
+            assert compared == 19
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +344,89 @@ class TestFailover:
                 assert health["groups_available"] == 1
             finally:
                 client.close()
+
+    def test_malformed_entries_fail_over_to_a_sibling(self, handmade_index):
+        with running_cluster(handmade_index, 2, 2, fail_threshold=1) as (
+            sharded,
+            groups,
+            router,
+        ):
+            # Shard 0's first replica is the first one the router tries.
+            address = drop_statistic_values(groups[0][0])
+            engine = ShardedEngine(sharded, executor="serial")
+            client = ServiceClient(*router.address)
+            try:
+                for mode in MODES:
+                    for query in QUERIES:
+                        assert_router_matches(client, engine, query, mode)
+                metrics = client.request({"op": "metrics"})
+                health = client.request({"op": "healthz"})
+            finally:
+                client.close()
+                engine.close()
+        assert metrics["router"]["failovers"] >= 1
+        (replica,) = [
+            replica
+            for replica in health["groups"][0]["replicas"]
+            if replica["address"] == address
+        ]
+        assert replica["state"] == "down"
+        assert "malformed" in replica["last_error"]
+
+    def test_malformed_entries_without_a_sibling_shed(self, handmade_index):
+        with running_cluster(handmade_index, 2, 1) as (_s, groups, router):
+            address = drop_statistic_values(groups[0][0])
+            client = ServiceClient(*router.address)
+            try:
+                for mode in ("context", "disjunctive"):
+                    response = client.query(
+                        "pancreas | DigestiveSystem", top_k=10, mode=mode
+                    )
+                    assert response["status"] == "shed", (mode, response)
+                    assert "shard group 0 unavailable" in response["error"]
+                    assert address in response["error"]
+                    assert "malformed" in response["error"]
+            finally:
+                client.close()
+
+    def test_miswired_group_sheds_naming_both_shards(self, handmade_index):
+        """Both groups list shard 0's worker: its replies, stamped shard
+        0, are refused for group 1 instead of being merged twice."""
+        sharded = ShardedInvertedIndex.from_index(
+            handmade_index, 2, partitioner="hash"
+        )
+        worker = worker_thread(sharded.shards[0], _worker_config())
+        worker.start()
+        address = "{}:{}".format(*worker.address)
+        cluster = ClusterConfig.from_payload(
+            {
+                "kind": "cluster",
+                "num_shards": 2,
+                "replication": 1,
+                "groups": [
+                    {"shard": 0, "replicas": [address]},
+                    {"shard": 1, "replicas": [address]},
+                ],
+                "router": {"health_interval_s": 30.0},
+            }
+        )
+        router = router_thread(cluster, _worker_config())
+        router.start()
+        client = ServiceClient(*router.address)
+        try:
+            for mode in MODES:
+                response = client.query(
+                    "pancreas | DigestiveSystem", top_k=10, mode=mode
+                )
+                assert response["status"] == "shed", (mode, response)
+                error = response["error"]
+                assert "shard group 1 unavailable" in error
+                assert address in error
+                assert "from shard 0, not from shard group 1" in error
+        finally:
+            client.close()
+            router.stop(timeout=10.0)
+            worker.stop(timeout=10.0)
 
 
 # ---------------------------------------------------------------------------
