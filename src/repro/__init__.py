@@ -65,6 +65,7 @@ from .views import (
     ViewCatalog,
     ViewSizeEstimator,
     WideSparseTable,
+    materialize_many,
     materialize_view,
 )
 from .selection import (
@@ -173,6 +174,7 @@ __all__ = [
     # views
     "WideSparseTable",
     "MaterializedView",
+    "materialize_many",
     "materialize_view",
     "ViewCatalog",
     "ViewSizeEstimator",

@@ -260,6 +260,10 @@ class PostingList:
     def __repr__(self) -> str:
         return f"PostingList(term={self.term!r}, len={len(self)})"
 
+    def columns(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """The whole ``(doc_ids, tfs)`` columns, for bulk consumers."""
+        return self.doc_ids, self.tfs
+
     @property
     def max_tf(self) -> int:
         """Largest tf in the list (0 when empty), computed at freeze time.
@@ -515,6 +519,24 @@ class LazyPostingList(PostingList):
         """True once the columns have been decoded into plain arrays."""
         return not isinstance(self.doc_ids, LazyColumn)
 
+    def columns(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """Decode every block, in order, into fresh ``array('q')`` columns.
+
+        One loader call per block — each runs the block file's frame and
+        skip-metadata checks — and the list itself stays lazy: a bulk
+        reader (view materialisation) gets the columns without pinning
+        them on the list.
+        """
+        if self.materialized:
+            return super().columns()
+        ids = array("q")
+        tfs = array("q")
+        for block in range(len(self._skip_starts)):
+            block_ids, block_tfs = self._loader(block)
+            ids.extend(block_ids)
+            tfs.extend(block_tfs)
+        return ids, tfs
+
     def materialize(self) -> "PostingList":
         """Decode every block into plain ``array('q')`` columns.
 
@@ -522,14 +544,7 @@ class LazyPostingList(PostingList):
         backing file); mutation paths call it implicitly.
         """
         if not self.materialized:
-            ids = array("q")
-            tfs = array("q")
-            for block in range(len(self._skip_starts)):
-                block_ids, block_tfs = self._block(block)
-                ids.extend(block_ids)
-                tfs.extend(block_tfs)
-            self.doc_ids = ids
-            self.tfs = tfs
+            self.doc_ids, self.tfs = self.columns()
             self._loader = None
             self._memo = None
         return self

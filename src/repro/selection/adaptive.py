@@ -30,7 +30,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ..errors import SelectionError
 from ..views.catalog import ViewCatalog
 from ..views.estimator import ViewSizeEstimator
-from ..views.view import materialize_view
+from ..views.view import materialize_many
 from ..views.wide_table import WideSparseTable
 from .workload_driven import (
     WorkloadEntry,
@@ -153,24 +153,27 @@ class IncrementalReselector:
         previous = {}
         if previous_catalog is not None:
             previous = {view.keyword_set: view for view in previous_catalog}
-        views = []
-        reused = built = 0
+        reusable = {}
         for ks in chosen:
-            existing = previous.get(ks)
+            view = previous.get(ks)
             if (
-                existing is not None
-                and existing.df_terms == frequent
-                and existing.tc_terms == tc_terms
+                view is not None
+                and view.df_terms == frequent
+                and view.tc_terms == tc_terms
             ):
-                views.append(existing)
-                reused += 1
-            else:
-                views.append(
-                    materialize_view(
-                        table, ks, df_terms=frequent, tc_terms=tc_terms
-                    )
-                )
-                built += 1
+                reusable[ks] = view
+        # Everything else is built in one pass over the table.
+        to_build = [ks for ks in chosen if ks not in reusable]
+        fresh = dict(
+            zip(
+                to_build,
+                materialize_many(
+                    table, [(ks, frequent, tc_terms) for ks in to_build]
+                ),
+            )
+        )
+        views = [reusable[ks] if ks in reusable else fresh[ks] for ks in chosen]
+        reused, built = len(chosen) - len(to_build), len(to_build)
 
         catalog = ViewCatalog(views)
         report = ReselectionReport(

@@ -23,7 +23,7 @@ from ..errors import SelectionError
 from ..index.inverted_index import InvertedIndex
 from ..views.catalog import ViewCatalog
 from ..views.estimator import ViewSizeEstimator
-from ..views.view import materialize_view
+from ..views.view import materialize_many
 from ..views.wide_table import WideSparseTable
 from .decomposition import decomposition_select
 from .greedy import ViewSizeFn, greedy_view_selection, remove_subsumed
@@ -229,7 +229,9 @@ def select_views(
     ]
     tc_terms = frequent_terms if include_tc_columns else ()
     catalog = ViewCatalog(
-        materialize_view(table, keyword_set, df_terms=frequent_terms, tc_terms=tc_terms)
-        for keyword_set in report.keyword_sets
+        materialize_many(
+            table,
+            [(ks, frequent_terms, tc_terms) for ks in report.keyword_sets],
+        )
     )
     return catalog, report

@@ -50,6 +50,7 @@ from ...core.statistics import TERM_COUNT
 from ...errors import QueryError, ReproError
 from ...index.sharded import IndexShard
 from ...views.handle import CatalogHandle
+from ...views.sharding import materialize_catalog
 from ..protocol import (
     CLUSTER_OPS,
     MAX_CLUSTER_LINE_BYTES,
@@ -217,15 +218,7 @@ class ShardWorkerService(QueryService):
         generation = payload.get("generation")
         generation = int(generation) if generation is not None else None
         info = payload.get("info")
-        from ...views.catalog import ViewCatalog
-        from ...views.view import materialize_view
-        from ...views.wide_table import WideSparseTable
-
-        table = WideSparseTable.from_index(self.runtime.index)
-        catalog = ViewCatalog(
-            materialize_view(table, keywords, df_terms, tc_terms)
-            for keywords, df_terms, tc_terms in definitions
-        )
+        catalog = materialize_catalog(self.runtime.index, definitions)
         new_generation = self.engine.install_catalog(
             catalog, info=info, generation=generation
         )

@@ -8,12 +8,13 @@ sampling, and matches queries to the smallest usable view.
 
 from .handle import CatalogHandle
 from .wide_table import TableRow, WideSparseTable
-from .view import GroupTuple, MaterializedView, materialize_view
+from .view import GroupTuple, MaterializedView, materialize_many, materialize_view
 from .estimator import DEFAULT_SAMPLE_SIZE, ViewSizeEstimator
 from .catalog import CatalogStats, ViewCatalog
 from .rewrite import ResolutionReport, compute_rare_term_statistics
 from .sharding import (
     catalog_definitions,
+    materialize_catalog,
     materialize_sharded_catalogs,
     replicate_catalog,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "WideSparseTable",
     "GroupTuple",
     "MaterializedView",
+    "materialize_many",
     "materialize_view",
     "ViewSizeEstimator",
     "DEFAULT_SAMPLE_SIZE",
@@ -46,6 +48,7 @@ __all__ = [
     "ResolutionReport",
     "compute_rare_term_statistics",
     "catalog_definitions",
+    "materialize_catalog",
     "materialize_sharded_catalogs",
     "replicate_catalog",
 ]

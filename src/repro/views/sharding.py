@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..index.sharded import ShardedInvertedIndex
 from .catalog import ViewCatalog
-from .view import materialize_view
+from .view import materialize_many
 from .wide_table import WideSparseTable
 
 # A view definition: (keyword set, df parameter terms, tc parameter terms).
@@ -33,6 +33,19 @@ def catalog_definitions(catalog: ViewCatalog) -> List[ViewDefinition]:
     return [
         (view.keyword_set, view.df_terms, view.tc_terms) for view in catalog
     ]
+
+
+def materialize_catalog(
+    index, definitions: Iterable[Sequence[Iterable[str]]]
+) -> ViewCatalog:
+    """Materialize every definition over one index, in one pass.
+
+    The one build path of a shard's catalog: in-process replication and
+    a cluster worker's ``install_catalog`` both end here.
+    """
+    return ViewCatalog(
+        materialize_many(WideSparseTable.from_index(index), definitions)
+    )
 
 
 def materialize_sharded_catalogs(
@@ -54,19 +67,11 @@ def materialize_sharded_catalogs(
     — replication is the sharded deployment's catalog mutation point, so
     it must not leave memoised answers from the previous catalog behind.
     """
-    definitions = [
-        (frozenset(keywords), frozenset(df_terms), frozenset(tc_terms))
-        for keywords, df_terms, tc_terms in definitions
+    definitions = list(definitions)
+    catalogs = [
+        materialize_catalog(shard.index, definitions)
+        for shard in sharded_index.shards
     ]
-    catalogs: List[ViewCatalog] = []
-    for shard in sharded_index.shards:
-        table = WideSparseTable.from_index(shard.index)
-        catalogs.append(
-            ViewCatalog(
-                materialize_view(table, keywords, df_terms, tc_terms)
-                for keywords, df_terms, tc_terms in definitions
-            )
-        )
     for cache in caches:
         cache.invalidate()
     return catalogs

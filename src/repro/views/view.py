@@ -299,12 +299,13 @@ def materialize_view(
     df_terms: Iterable[str] = (),
     tc_terms: Iterable[str] = (),
 ) -> MaterializedView:
-    """Build ``V_K`` from the wide sparse table.
+    """Build ``V_K`` from the wide sparse table, one view at a time.
 
     One table scan assigns every document to its group and accumulates
     COUNT/SUM(len); then one posting-list scan per ``df``/``tc`` term
     fills the term parameter columns (the posting list *is* the sparse
-    ``tf(d, w)`` column of ``T``).
+    ``tf(d, w)`` column of ``T``).  The reference builder:
+    :func:`materialize_many` must produce exactly these groups.
     """
     keyword_set = frozenset(keyword_set)
     df_terms = frozenset(df_terms)
@@ -312,7 +313,8 @@ def materialize_view(
     groups: Dict[FrozenSet[str], GroupTuple] = {}
 
     keys = table.group_keys(keyword_set)
-    for row, key in zip(table, keys):
+    for row in table:
+        key = keys[row.doc_id]
         group = groups.get(key)
         if group is None:
             group = groups[key] = GroupTuple()
@@ -330,3 +332,134 @@ def materialize_view(
                 group.tc[term] = group.tc.get(term, 0) + tf
 
     return MaterializedView(keyword_set, groups, df_terms, tc_terms)
+
+
+# Cells (int64) per group-id gather in materialize_many: 128 KiB, glibc's
+# default mmap threshold.  Larger temporaries are mmapped, and freeing one
+# raises the allocator's threshold so later ones stay on the heap; a
+# worker's resident set then keeps megabytes after the build (measured).
+_GATHER_CELLS = 1 << 14
+
+
+def _binned(gids, rows, cols, num_bins, weights=None):
+    """Per-bin COUNT (and SUM of ``weights``) over ``gids[rows][:, cols]``.
+
+    ``weights`` has one entry per column.  Gathers at most
+    :data:`_GATHER_CELLS` cells at a time.  Float weights are exact here:
+    every sum stays far below 2**53.
+    """
+    np = _np
+    counts = np.zeros(num_bins, dtype=np.int64)
+    sums = None if weights is None else np.zeros(num_bins)
+    step = max(1, _GATHER_CELLS // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        bins = gids[chunk[:, None], cols].ravel()
+        counts += np.bincount(bins, minlength=num_bins)
+        if weights is not None:
+            sums += np.bincount(
+                bins, weights=np.tile(weights, len(chunk)), minlength=num_bins
+            )
+    return counts, None if sums is None else sums.astype(np.int64)
+
+
+def materialize_many(
+    table: WideSparseTable,
+    definitions: Iterable[Sequence[Iterable[str]]],
+) -> List[MaterializedView]:
+    """Build every ``(keyword_set, df_terms, tc_terms)`` view in one pass.
+
+    ``V_K`` is a GROUP BY with distributive COUNT/SUM columns, so all the
+    views of a catalog build as one columnar aggregate:
+
+    * each view gets a docid-indexed group-id column (from
+      :meth:`WideSparseTable.group_keys`), offset so that every view's
+      groups own a disjoint range of one shared bin space;
+    * COUNT and SUM(len) are a ``bincount`` each over the live rows of
+      every view at once;
+    * each distinct df/tc term's posting list is read once per table
+      (:meth:`~repro.index.postings.PostingList.columns` — a lazy v4 list
+      decodes each block once and stays lazy), and a ``bincount`` over
+      the group ids of its docids, in every view carrying the term, gives
+      df; the same bins weighted by tf give tc;
+    * a gather larger than :data:`_GATHER_CELLS` is split across views
+      into several ``bincount`` calls summed into the same bins;
+    * group tuples are filled from the nonzero bins only.
+
+    Returns views positionally aligned with ``definitions``, each with
+    exactly the groups :func:`materialize_view` builds.  Without numpy
+    this is :func:`materialize_view` per definition.
+    """
+    definitions = [
+        (frozenset(keywords), frozenset(df_terms), frozenset(tc_terms))
+        for keywords, df_terms, tc_terms in definitions
+    ]
+    if _np is None or not definitions:
+        return [materialize_view(table, *definition) for definition in definitions]
+    np = _np
+
+    live = np.fromiter((row.doc_id for row in table), dtype=np.int64)
+    lengths = np.fromiter((row.length for row in table), dtype=np.int64)
+    # gids[v, d]: view v's bin for the document with docid d.  Docids
+    # without a live row keep bin 0; no posting list ever names them.
+    gids = np.zeros((len(definitions), table.num_slots), dtype=np.int64)
+    groups: List[GroupTuple] = []  # one per bin, across all views
+    group_keys: List[List[FrozenSet[str]]] = []
+    for v, (keywords, _, _) in enumerate(definitions):
+        keys = table.group_keys(keywords)
+        codes: Dict[FrozenSet[str], int] = {}
+        offset = len(groups)
+        gids[v, live] = np.fromiter(
+            (codes.setdefault(keys[d], len(codes)) for d in live.tolist()),
+            dtype=np.int64,
+            count=len(live),
+        ) + offset
+        group_keys.append(list(codes))
+        groups.extend(GroupTuple() for _ in codes)
+    num_bins = len(groups)
+
+    all_views = np.arange(len(definitions))
+    counts, sum_lens = _binned(gids, all_views, live, num_bins, lengths)
+    for group, count, sum_len in zip(groups, counts.tolist(), sum_lens.tolist()):
+        group.count = count
+        group.sum_len = sum_len
+
+    bin_view = np.repeat(all_views, [len(keys) for keys in group_keys])
+    index: InvertedIndex = table.index
+    terms = sorted(frozenset().union(*(df | tc for _, df, tc in definitions)))
+    for term in terms:
+        in_df = np.fromiter((term in df for _, df, _ in definitions), dtype=bool)
+        in_tc = np.fromiter((term in tc for _, _, tc in definitions), dtype=bool)
+        views = np.flatnonzero(in_df | in_tc)
+        doc_ids, tfs = index.postings(term).columns()
+        if not len(doc_ids):
+            continue
+        hits, tc_sums = _binned(
+            gids,
+            views,
+            np.asarray(doc_ids, dtype=np.int64),
+            num_bins,
+            np.asarray(tfs, dtype=np.int64) if in_tc.any() else None,
+        )
+        nonzero = np.flatnonzero(hits)
+        df_bins = nonzero[in_df[bin_view[nonzero]]]
+        for b, df in zip(df_bins.tolist(), hits[df_bins].tolist()):
+            groups[b].df[term] = df
+        if tc_sums is not None:
+            tc_bins = nonzero[in_tc[bin_view[nonzero]]]
+            for b, tc in zip(tc_bins.tolist(), tc_sums[tc_bins].tolist()):
+                groups[b].tc[term] = tc
+
+    views_out: List[MaterializedView] = []
+    offset = 0
+    for (keywords, df_terms, tc_terms), keys in zip(definitions, group_keys):
+        views_out.append(
+            MaterializedView(
+                keywords,
+                dict(zip(keys, groups[offset : offset + len(keys)])),
+                df_terms,
+                tc_terms,
+            )
+        )
+        offset += len(keys)
+    return views_out

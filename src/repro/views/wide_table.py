@@ -11,7 +11,7 @@ aggregate parameters per group) is exactly the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List
+from typing import FrozenSet, Iterator, List, Optional
 
 from ..index.inverted_index import InvertedIndex
 
@@ -38,6 +38,13 @@ class WideSparseTable:
     def __init__(self, rows: List[TableRow], index: InvertedIndex):
         self._rows = rows
         self._index = index
+        # Docid-addressed slots: a lifecycle snapshot's global docids have
+        # gaps where documents were deleted, so row position != docid.
+        self._slots: List[Optional[TableRow]] = [None] * (
+            max((row.doc_id for row in rows), default=-1) + 1
+        )
+        for row in rows:
+            self._slots[row.doc_id] = row
 
     @classmethod
     def from_index(cls, index: InvertedIndex) -> "WideSparseTable":
@@ -63,8 +70,16 @@ class WideSparseTable:
     def index(self) -> InvertedIndex:
         return self._index
 
+    @property
+    def num_slots(self) -> int:
+        """One past the largest docid: the length of a docid-keyed column."""
+        return len(self._slots)
+
     def row(self, doc_id: int) -> TableRow:
-        return self._rows[doc_id]
+        row = self._slots[doc_id]
+        if row is None:
+            raise IndexError(f"no live document with docid {doc_id}")
+        return row
 
     def group_key(self, doc_id: int, keyword_set: FrozenSet[str]) -> FrozenSet[str]:
         """The GROUP BY key of a row under view keywords ``K``.
@@ -72,13 +87,20 @@ class WideSparseTable:
         Restricting the row's predicate set to ``K`` is equivalent to
         reading its 0/1 pattern over the keyword columns of ``V_K``.
         """
-        return self._rows[doc_id].predicates & keyword_set
+        return self.row(doc_id).predicates & keyword_set
 
     def group_keys(
         self, keyword_set: FrozenSet[str]
-    ) -> List[FrozenSet[str]]:
-        """Group key per row, indexed by docid (one table scan)."""
-        return [row.predicates & keyword_set for row in self._rows]
+    ) -> List[Optional[FrozenSet[str]]]:
+        """Group key column indexed by docid (one table scan).
+
+        ``None`` marks a docid with no live row (a deleted document);
+        posting lists never carry such docids.
+        """
+        return [
+            None if row is None else row.predicates & keyword_set
+            for row in self._slots
+        ]
 
     def predicate_sets(self) -> List[FrozenSet[str]]:
         """Every row's predicate set (the transaction DB for mining)."""

@@ -42,6 +42,7 @@ from repro.service.cluster import (
     ClusterConfig,
     ClusterConfigError,
     HashRing,
+    encode_catalog_frame,
     RouterService,
     fetch_artifact,
     load_cluster_config,
@@ -559,6 +560,94 @@ class TestMalformedWorkerFrames:
                 assert "cluster-internal" in response["error"]
             finally:
                 client.close()
+
+
+# ---------------------------------------------------------------------------
+# Worker catalog install: one shared build helper, checked block reads
+
+
+INSTALL_DEFINITIONS = [
+    (
+        frozenset({"DigestiveSystem"}),
+        frozenset({"pancreas"}),
+        frozenset({"pancreas"}),
+    ),
+    (
+        frozenset({"Diseases", "Neoplasms"}),
+        frozenset({"leukemia", "cancer"}),
+        frozenset(),
+    ),
+]
+
+
+def send_install(thread, definitions, generation):
+    client = ServiceClient(*thread.address)
+    try:
+        return client.request(
+            {
+                "op": "install_catalog",
+                "generation": generation,
+                "catalog": encode_catalog_frame(definitions),
+            }
+        )
+    finally:
+        client.close()
+
+
+class TestWorkerCatalogInstall:
+    def test_ack_and_views_match_the_per_view_builder(self, handmade_index):
+        sharded = ShardedInvertedIndex.from_index(
+            handmade_index, 2, partitioner="hash"
+        )
+        shard = sharded.shards[0]
+        thread = worker_thread(shard, _worker_config())
+        thread.start()
+        try:
+            reply = send_install(thread, INSTALL_DEFINITIONS, 7)
+            assert reply["status"] == "ok"
+            assert reply["installed_views"] == 2
+            assert reply["generation"] == 7
+            assert reply["version_vector"] == {
+                "epoch": 0,
+                "catalog_generation": 7,
+                "placement_generation": 0,
+            }
+            catalog, generation = thread.service.runtime.catalog_handle.get()
+            assert generation == 7
+            table = WideSparseTable.from_index(shard.index)
+            for view, definition in zip(catalog, INSTALL_DEFINITIONS):
+                oracle = materialize_view(table, *definition)
+                assert view.keyword_set == oracle.keyword_set
+                assert view.groups == oracle.groups
+        finally:
+            thread.stop(timeout=10.0)
+
+    def test_damaged_block_fails_the_install_naming_the_file(
+        self, tmp_path, corpus_index
+    ):
+        from .test_views import flip_block_header, shard_definitions
+
+        sharded = ShardedInvertedIndex.from_index(corpus_index, 2, "hash")
+        save_sharded_index(sharded, tmp_path / "idx.bin", format=4)
+        shard_path = tmp_path / "idx.shard0.bin"
+        definitions = shard_definitions(sharded.shards[0].index)
+        flip_block_header(shard_path, definitions[0][1])
+
+        shard = load_shard(shard_path, shard_id=0)
+        thread = worker_thread(shard, _worker_config())
+        thread.start()
+        try:
+            reply = send_install(thread, definitions, 1)
+            assert reply["status"] == "error"
+            assert reply["error"].startswith("StorageError: ")
+            assert shard_path.name in reply["error"]
+            # Nothing was built or installed.
+            catalog, generation = thread.service.runtime.catalog_handle.get()
+            assert catalog is None or len(catalog) == 0
+            assert generation == 0
+        finally:
+            thread.stop(timeout=10.0)
+            shard.index.close()
 
 
 # ---------------------------------------------------------------------------

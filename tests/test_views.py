@@ -17,6 +17,7 @@ from repro.views import (
     MaterializedView,
     ViewCatalog,
     WideSparseTable,
+    materialize_many,
     materialize_view,
 )
 
@@ -320,3 +321,233 @@ class TestVectorizedAnswerMany:
         after = view.answer_many(self._specs(view), ctx)
         assert after == view._answer_many_reference(self._specs(view), ctx)
         assert after != before  # the insert is visible through the cache
+
+
+# ---------------------------------------------------------------------------
+# materialize_many: the one-pass builder equals the per-view oracle
+
+
+TABLE_KINDS = ["flat", "shards1", "shards2", "shards3", "v4", "lifecycle"]
+
+
+@pytest.fixture(scope="module")
+def many_tables(corpus, corpus_index, tmp_path_factory):
+    """Every table shape a catalog is built over, as lists of tables:
+    the flat index, 1/2/3 in-memory shards, v4-loaded shards, and a
+    lifecycle snapshot whose global docids have tombstone gaps."""
+    from repro.index.sharded import ShardedInvertedIndex
+    from repro.lifecycle import LifecycleEngine, SegmentedIndex
+    from repro.storage import load_sharded_index, save_sharded_index
+
+    tables = {"flat": [corpus_index]}
+    for n in (1, 2, 3):
+        sharded = ShardedInvertedIndex.from_index(corpus_index, n, "hash")
+        tables[f"shards{n}"] = [shard.index for shard in sharded.shards]
+    manifest = tmp_path_factory.mktemp("v4") / "sharded.bin"
+    save_sharded_index(sharded, manifest, format=4)
+    loaded = load_sharded_index(manifest)
+    tables["v4"] = [shard.index for shard in loaded.shards]
+
+    segmented = SegmentedIndex(tmp_path_factory.mktemp("lifecycle"))
+    engine = LifecycleEngine(segmented)
+    docs = corpus.documents[:400]
+    engine.ingest(docs[:200])
+    engine.flush()
+    engine.ingest(docs[200:])
+    engine.flush()
+    engine.delete([doc.doc_id for doc in docs[::37]])
+    snapshot = segmented.snapshot()
+    assert snapshot.tombstones
+    tables["lifecycle"] = [snapshot]
+    yield {
+        kind: [WideSparseTable.from_index(index) for index in indexes]
+        for kind, indexes in tables.items()
+    }
+    engine.close()
+    loaded.close()
+
+
+@pytest.fixture(scope="module")
+def definition_pools(corpus_index):
+    """Keyword and term pools: frequent and rare entries, a predicate no
+    document carries, a term held by exactly one document (absent from
+    most shards) and a term absent from the vocabulary."""
+    predicates = sorted(
+        corpus_index.predicate_vocabulary,
+        key=lambda p: (-corpus_index.predicate_frequency(p), p),
+    )
+    by_df = sorted(
+        corpus_index.vocabulary,
+        key=lambda t: (-corpus_index.document_frequency(t), t),
+    )
+    singleton = next(
+        t for t in by_df if corpus_index.document_frequency(t) == 1
+    )
+    keywords = predicates[:6] + predicates[-2:] + ["NoSuchPredicate"]
+    terms = by_df[:6] + by_df[200:203] + [singleton, "zzznotaterm"]
+    return keywords, terms
+
+
+def assert_many_matches_oracle(table, definitions, use_numpy):
+    import repro.views.view as view_mod
+
+    with pytest.MonkeyPatch.context() as patch:
+        if not use_numpy:
+            patch.setattr(view_mod, "_np", None)
+        many = materialize_many(table, definitions)
+    assert len(many) == len(definitions)
+    for view, (keywords, df_terms, tc_terms) in zip(many, definitions):
+        oracle = materialize_view(table, keywords, df_terms, tc_terms)
+        assert view.keyword_set == oracle.keyword_set
+        assert view.df_terms == oracle.df_terms
+        assert view.tc_terms == oracle.tc_terms
+        assert view.groups == oracle.groups
+
+
+@pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "python"])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+class TestMaterializeMany:
+    """Every view ``materialize_many`` builds has exactly the groups of
+    ``materialize_view`` — on every table shape, with and without numpy."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_oracle(
+        self, data, kind, use_numpy, many_tables, definition_pools
+    ):
+        keywords, terms = definition_pools
+        definition = st.tuples(
+            st.frozensets(st.sampled_from(keywords), min_size=1, max_size=3),
+            st.frozensets(st.sampled_from(terms), max_size=5),
+            st.frozensets(st.sampled_from(terms), max_size=3),
+        )
+        definitions = data.draw(st.lists(definition, max_size=5))
+        for table in many_tables[kind]:
+            assert_many_matches_oracle(table, definitions, use_numpy)
+
+    def test_edge_cases(self, kind, use_numpy, many_tables, definition_pools):
+        keywords, terms = definition_pools
+        frequent, rare, singleton, absent = terms[:3], terms[6:9], terms[9], terms[10]
+        definitions = [
+            # a keyword set no document carries: one all-absent group
+            ({"NoSuchPredicate"}, frequent, ()),
+            # a term with postings on one shard at most, and none at all
+            (keywords[:2], [singleton, absent], [singleton, absent]),
+            # overlapping df/tc sets across views...
+            (keywords[:3], frequent + rare, frequent[:1]),
+            (keywords[1:4], frequent[1:], frequent + rare[:1]),
+            # ...and disjoint ones
+            (keywords[4:6], rare, ()),
+            (keywords[-3:-1], (), frequent),
+        ]
+        for table in many_tables[kind]:
+            assert materialize_many(table, []) == []
+            assert_many_matches_oracle(table, definitions, use_numpy)
+
+
+# ---------------------------------------------------------------------------
+# The bulk v4 read keeps the block checks and the laziness
+
+
+def flip_block_header(path, terms):
+    """Flip the first byte of the first block frame of the first of
+    ``terms`` stored bit-packed in the v4 file at ``path``; return it.
+
+    A bit-packed frame opens with its docid-gap bit width (at most 63);
+    the flipped byte reads as a width above 63, which the block loader
+    rejects."""
+    from repro.index.blockstore import BlockFile
+
+    data = bytearray(path.read_bytes())
+    with BlockFile(path) as block_file:
+        records = block_file._space_records("content_index")
+        base = block_file._sections["blocks"][0]
+    for term in terms:
+        if term not in records:
+            continue
+        offset = base + records[term][3]
+        if 1 <= data[offset] <= 63:
+            data[offset] ^= 0xFF
+            path.write_bytes(bytes(data))
+            return term
+    raise AssertionError("no bit-packed block among the candidate terms")
+
+
+@pytest.fixture(scope="module")
+def v4_shard_file(corpus_index, tmp_path_factory):
+    from repro.index.sharded import ShardedInvertedIndex
+    from repro.storage import save_sharded_index
+
+    sharded = ShardedInvertedIndex.from_index(corpus_index, 2, "hash")
+    directory = tmp_path_factory.mktemp("bulk-v4")
+    save_sharded_index(sharded, directory / "sharded.bin", format=4)
+    return directory / "sharded.shard0.bin"
+
+
+def shard_definitions(index):
+    """Three views over the shard's frequent terms (df and tc columns)."""
+    predicates = sorted(
+        index.predicate_vocabulary,
+        key=lambda p: (-index.predicate_frequency(p), p),
+    )
+    frequent = sorted(
+        index.vocabulary, key=lambda t: (-index.document_frequency(t), t)
+    )[:20]
+    return [
+        (predicates[:3], frequent, frequent[:3]),
+        (predicates[2:5], frequent[5:], ()),
+        (predicates[:1], frequent[:10], frequent[:10]),
+    ]
+
+
+class TestBulkV4Read:
+    def test_lists_stay_lazy(self, v4_shard_file, tmp_path):
+        import shutil
+
+        from repro.index.postings import LazyPostingList
+        from repro.storage import load_shard
+
+        path = shutil.copy(v4_shard_file, tmp_path / v4_shard_file.name)
+        shard = load_shard(path)
+        try:
+            index = shard.index
+            definitions = shard_definitions(index)
+            read = {
+                term: index.postings(term)
+                for _, df_terms, tc_terms in definitions
+                for term in (*df_terms, *tc_terms)
+            }
+            many = materialize_many(WideSparseTable.from_index(index), definitions)
+            assert all(isinstance(p, LazyPostingList) for p in read.values())
+            assert all(p.materialized is False for p in read.values())
+            table = WideSparseTable.from_index(index)
+            for view, definition in zip(many, definitions):
+                assert view.groups == materialize_view(table, *definition).groups
+        finally:
+            shard.index.close()
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "python"])
+    def test_damaged_frame_raises_naming_the_file(
+        self, v4_shard_file, tmp_path, use_numpy
+    ):
+        import shutil
+
+        import repro.views.view as view_mod
+        from repro.storage import StorageError, load_shard
+
+        path = shutil.copy(v4_shard_file, tmp_path / "damaged.shard0.bin")
+        shard = load_shard(path)
+        definitions = shard_definitions(shard.index)
+        shard.index.close()
+        flip_block_header(path, definitions[0][1])
+
+        shard = load_shard(path)
+        try:
+            table = WideSparseTable.from_index(shard.index)
+            with pytest.MonkeyPatch.context() as patch:
+                if not use_numpy:
+                    patch.setattr(view_mod, "_np", None)
+                with pytest.raises(StorageError, match="damaged.shard0.bin"):
+                    materialize_many(table, definitions)
+        finally:
+            shard.index.close()
