@@ -207,11 +207,6 @@ class ContextSearchEngine:
         self.last_reselection = dict(info) if info else None
         return new_generation
 
-    def swap_catalog(self, catalog: Optional["ViewCatalog"]) -> int:
-        """Deprecated alias for :meth:`install_catalog` (kept so
-        pre-unification call sites and tests keep working)."""
-        return self.install_catalog(catalog)
-
     def search(
         self,
         query: Union[ContextQuery, str],

@@ -12,18 +12,23 @@ every shard makes a local cost-based views-vs-straightforward choice and
 the parent merges with :class:`~repro.core.operators.StatsMerge`:
 
 1. **resolve** — each shard plans and answers the query's
-   collection-statistic specs over *its* sub-collection and stashes its
-   local unranked result;
+   collection-statistic specs over *its* sub-collection and returns
+   them with its local candidate ids;
 2. **merge** — the parent sums the partial aggregates (every supported
    statistic of Table 1 is additive over documents; the one non-additive
    statistic, ``utc``, is rejected up front);
-3. **score** — the merged global statistics are broadcast back and every
-   shard scores its stashed candidates with them through the one shared
+3. **score** — the merged global statistics go back with each shard's
+   own candidates and every shard scores them through the one shared
    scoring loop (:mod:`repro.core.scoring`).  Scores are pure functions
    of integer statistics and per-document values, so each document's
    score is the exact float the single-shard engine computes; the final
    sort on ``(-score, global docid)`` then reproduces the single-shard
    ranking including tie-breaks.
+
+Every shard op is stateless, and each mode's merge is written once, as
+the :meth:`ShardMergePlan.fold` generator.  Two callers run it: this
+module's :class:`ShardedEngine` over an in-process backend, and the
+cluster router over the wire.
 
 Every report carries the per-shard breakdown
 (:class:`~repro.core.report.ShardReport` — chosen path, predicted cost,
@@ -39,7 +44,7 @@ scorer.
 
 Three execution backends: ``serial`` (in-process loop), ``thread``
 (pool; parallel I/O but GIL-bound for pure-python scan work), ``fork``
-(one dedicated forked worker process per shard — true CPU parallelism;
+(forked worker processes, one pool per shard — true CPU parallelism;
 the default where ``fork`` is available).  Backends never change
 results, only wall-clock.
 
@@ -112,6 +117,20 @@ from .topk import SharedTopKThreshold
 # internal docid.
 _Hit = Tuple[float, int, str]
 
+# The stateless shard ops, named as the cluster wire names them, and the
+# ShardRuntime method serving each.  ShardMergePlan.fold yields these; the
+# in-process backends call the method, the router sends the op.
+OP_SHARD_RESOLVE = "shard_resolve"
+OP_SHARD_SCORE = "shard_score"
+OP_SHARD_TOPK = "shard_topk"
+OP_SHARD_CONVENTIONAL = "shard_conventional"
+SHARD_OP_METHODS = {
+    OP_SHARD_RESOLVE: "resolve",
+    OP_SHARD_SCORE: "score",
+    OP_SHARD_TOPK: "topk_many",
+    OP_SHARD_CONVENTIONAL: "conventional_many",
+}
+
 
 class ShardRuntime:
     """Everything one shard needs to evaluate its slice of a query.
@@ -122,11 +141,13 @@ class ShardRuntime:
     there is no shard-specific resolution or scoring code.
 
     Lives on both sides of the process boundary: the parent builds the
-    runtimes, and the fork backend's per-shard worker inherits them via
-    the module registry.  Phase-1 calls stash the shard's local result
-    set keyed by query id; the matching phase-2 call pops it — which is
-    why the fork backend dedicates one worker process per shard (both
-    phases of a shard must land in the same address space).
+    runtimes, the fork backend's per-shard worker inherits them via the
+    module registry, and a cluster shard worker serves one.  Its shard
+    ops (:data:`SHARD_OP_METHODS`) are stateless — every input arrives
+    with the task, phase-1 candidates included — so concurrent batches
+    never see each other and any replica can serve any phase.  Only
+    :meth:`resolve_many`/:meth:`score_many` keep a per-qid stash, for
+    the staged benchmark that drives one query at a time.
     """
 
     def __init__(
@@ -161,6 +182,7 @@ class ShardRuntime:
         self.searcher = self._op_conjunction.searcher
         self.plan = self._op_straightforward.plan
         self._stash: Dict[int, Tuple[Tuple[str, ...], List[int]]] = {}
+        self._tc_cache: Dict[str, Tuple[int, int]] = {}
 
     @property
     def catalog(self) -> Optional[ViewCatalog]:
@@ -169,39 +191,66 @@ class ShardRuntime:
 
     # -- phase 1: per-shard statistics ----------------------------------
 
-    def resolve_many(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """Plan, resolve statistics, and stash the local conjunctive result.
+    def resolve(self, tasks: Sequence[tuple]) -> List[tuple]:
+        """Phase 1 of every mode, stateless: the ``shard_resolve`` op.
 
-        ``tasks``: ``(qid, keywords, predicates, specs, force)`` per
-        query (``force`` pins the path shard-locally when feasible).
-        Returns ``(qid, values, num_results, path, predicted, counter)``;
-        an empty local context yields all-zero values (the additive
-        identity) and an empty result — the *global* emptiness check
-        happens after the merge, in the parent.
+        ``tasks``: ``(qid, keywords, predicates, mode, force)`` per
+        analysed query (``force`` pins the path shard-locally when
+        feasible).  Each row is ``(qid, keywords, predicates, *slice)``
+        with the shard's slice by mode — exactly the wire entry:
+
+        - context: ``values, num_results, path, predicted, counter,
+          result_ids`` (the local candidates travel with the row, so
+          phase 2 needs no state on this side);
+        - disjunctive: ``values, path, predicted, counter, max_tf``;
+        - conventional: the shard's whole-collection statistics part.
+
+        An empty local context yields all-zero values (the additive
+        identity) and no candidates; the *global* emptiness check
+        happens after the merge.
+        """
+        out = []
+        for qid, keywords, predicates, mode, force in tasks:
+            keywords, predicates = tuple(keywords), tuple(predicates)
+            if mode == MODE_CONVENTIONAL:
+                row = (self._collection_part(keywords),)
+            else:
+                specs = tuple(self.ranking.required_collection_specs(keywords))
+                values, result_ids, path, predicted, counter = (
+                    self._resolve_local(keywords, predicates, specs, mode, force)
+                )
+                if mode == MODE_DISJUNCTIVE:
+                    max_tf = {
+                        term: self.index.postings(term).max_tf
+                        for term in dict.fromkeys(keywords)
+                    }
+                    row = (values, path, predicted, counter, max_tf)
+                else:
+                    row = (
+                        values, len(result_ids), path, predicted, counter,
+                        result_ids,
+                    )
+            out.append((qid, keywords, predicates) + row)
+        return out
+
+    def resolve_many(self, tasks: Sequence[tuple]) -> List[tuple]:
+        """Context phase 1 that stashes the local result set by ``qid``
+        for :meth:`score_many` (the staged benchmark's per-shard path).
+
+        ``tasks``: ``(qid, keywords, predicates, specs, force)``.
+        Returns ``(qid, values, num_results, path, predicted, counter)``.
         """
         out = []
         for qid, keywords, predicates, specs, force in tasks:
-            counter = CostCounter()
-            ctx = ExecutionContext(counter=counter)
-            query = _rebuild_query(keywords, predicates)
-            plan = self._plan(query, specs, MODE_CONTEXT, force)
-            try:
-                values, result_ids = self._execute_resolution(
-                    ctx, plan, query, specs
-                )
-                path = ctx.resolution.path
-            except EmptyContextError:
-                values = StatsMerge.zero(specs)
-                result_ids = []
-                path = "straightforward"
-            self._stash[qid] = (tuple(keywords), result_ids)
-            out.append(
-                (qid, values, len(result_ids), path, plan.predicted_cost, counter)
+            values, result_ids, path, predicted, counter = self._resolve_local(
+                keywords, predicates, specs, MODE_CONTEXT, force
             )
+            self._stash[qid] = (tuple(keywords), result_ids)
+            out.append((qid, values, len(result_ids), path, predicted, counter))
         return out
 
     def stats_many(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """Statistics only (no result stash) — disjunctive & diagnostics.
+        """Statistics only, no candidates.
 
         ``tasks``: ``(qid, keywords, predicates, specs, use_views, force)``
         (``use_views=False`` bypasses the optimizer entirely: the
@@ -210,69 +259,53 @@ class ShardRuntime:
         """
         out = []
         for qid, keywords, predicates, specs, use_views, force in tasks:
-            counter = CostCounter()
-            ctx = ExecutionContext(counter=counter)
-            query = _rebuild_query(keywords, predicates)
-            predicted = 0
-            try:
-                if use_views:
-                    plan = self._plan(query, specs, MODE_DISJUNCTIVE, force)
-                    predicted = plan.predicted_cost
-                    values, _ = self._execute_resolution(
-                        ctx, plan, query, specs, want_result=False
-                    )
-                    path = ctx.resolution.path
-                else:
+            if use_views:
+                values, _, path, predicted, counter = self._resolve_local(
+                    keywords, predicates, specs, MODE_DISJUNCTIVE, force
+                )
+            else:
+                counter, predicted = CostCounter(), 0
+                query = _rebuild_query(keywords, predicates)
+                try:
                     execution = self.plan.execute(query, specs, counter)
-                    values, path = execution.statistic_values, "straightforward"
-            except EmptyContextError:
-                values = StatsMerge.zero(specs)
+                    values = execution.statistic_values
+                except EmptyContextError:
+                    values = StatsMerge.zero(specs)
                 path = "straightforward"
             out.append((qid, values, path, predicted, counter))
         return out
 
     # -- phase 2: scoring with merged global statistics -----------------
 
-    def score_many(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """Score the stashed results under merged statistics.
+    def score(self, tasks: Sequence[tuple]) -> List[tuple]:
+        """Context phase 2, stateless: the ``shard_score`` op.
 
-        ``tasks``: ``(qid, values, top_k)``; ``values=None`` means the
-        query died in the merge (globally empty context) and the stash
-        entry is just discarded.  Returns ``(qid, hits)`` with hits
-        sorted ``(-score, gid)`` and truncated to ``top_k`` — any global
-        top-k document is necessarily in its shard's local top-k, so
-        truncation loses nothing.
+        ``tasks``: ``(qid, keywords, result_ids, values, top_k)`` with
+        this shard's phase-1 candidates and the merged statistics.
+        Returns ``(qid, hits)`` with hits sorted ``(-score, gid)`` and
+        truncated to ``top_k`` — any global top-k document is
+        necessarily in its shard's local top-k, so truncation loses
+        nothing.
+        """
+        return [
+            (qid, self.score_stateless(keywords, result_ids, values, top_k))
+            for qid, keywords, result_ids, values, top_k in tasks
+        ]
+
+    def score_many(self, tasks: Sequence[tuple]) -> List[tuple]:
+        """:meth:`score` over the candidates :meth:`resolve_many` stashed.
+
+        ``tasks``: ``(qid, values, top_k)``; ``values=None`` just
+        discards the stash entry.  Returns ``(qid, hits)``.
         """
         out = []
         for qid, values, top_k in tasks:
             keywords, result_ids = self._stash.pop(qid, ((), []))
-            if values is None:
-                continue
-            stats = CollectionStatistics.from_values(values)
-            hits = self._score(keywords, result_ids, stats, top_k)
-            out.append((qid, hits))
+            if values is not None:
+                out.append(
+                    (qid, self.score_stateless(keywords, result_ids, values, top_k))
+                )
         return out
-
-    # -- stateless variants (the wire path) ------------------------------
-
-    def resolve_stateless(
-        self,
-        qid: int,
-        keywords: Tuple[str, ...],
-        predicates: Tuple[str, ...],
-        specs: Tuple[StatisticSpec, ...],
-        force: Optional[str],
-    ) -> Tuple[tuple, List[int]]:
-        """One phase-1 resolution with the local result *returned*, not
-        stashed.  The cluster's shard workers use this shape: candidates
-        travel to the router and back, so phase 2 can land on any
-        replica of the group (replicas are bit-identical copies, so
-        local docids agree) — failover between phases is then trivially
-        correct, where the in-process stash requires process affinity.
-        """
-        out = self.resolve_many([(qid, keywords, predicates, specs, force)])[0]
-        _, result_ids = self._stash.pop(qid)
-        return out, list(result_ids)
 
     def score_stateless(
         self,
@@ -281,7 +314,7 @@ class ShardRuntime:
         values: Dict[StatisticSpec, float],
         top_k: Optional[int],
     ) -> List[_Hit]:
-        """Phase-2 scoring for candidates shipped with the task."""
+        """Score one query's candidates under merged statistics."""
         stats = CollectionStatistics.from_values(values)
         return self._score(keywords, result_ids, stats, top_k)
 
@@ -383,6 +416,57 @@ class ShardRuntime:
                 raise
             return self.optimizer.plan(query, specs, mode=mode)
 
+    def _resolve_local(
+        self,
+        keywords: Sequence[str],
+        predicates: Sequence[str],
+        specs: Sequence[StatisticSpec],
+        mode: str,
+        force: Optional[str],
+    ) -> tuple:
+        """Plan and resolve one query's statistics over this shard.
+
+        Returns ``(values, result_ids, path, predicted, counter)``; the
+        local result set is materialised in context mode only.
+        """
+        counter = CostCounter()
+        ctx = ExecutionContext(counter=counter)
+        query = _rebuild_query(keywords, predicates)
+        plan = self._plan(query, specs, mode, force)
+        try:
+            values, result_ids = self._execute_resolution(
+                ctx, plan, query, specs, want_result=mode == MODE_CONTEXT
+            )
+            path = ctx.resolution.path
+        except EmptyContextError:
+            values, result_ids, path = StatsMerge.zero(specs), [], "straightforward"
+        return values, result_ids, path, plan.predicted_cost, counter
+
+    def _collection_part(self, keywords: Sequence[str]) -> dict:
+        """This shard's additive summands of the whole-collection
+        statistics ``S_c(D)`` (conventional mode), summed exactly by
+        :meth:`ShardMergePlan.merge_collection_stats`."""
+        part = {
+            "num_docs": self.index.num_docs,
+            "total_length": self.index.total_length,
+            "df": {w: self.index.document_frequency(w) for w in keywords},
+        }
+        if any(
+            spec.kind == TERM_COUNT
+            for spec in self.ranking.required_collection_specs(keywords)
+        ):
+            part["tc"] = {w: self._term_count(w) for w in keywords}
+        return part
+
+    def _term_count(self, term: str) -> int:
+        """``tc(term)`` over this shard, cached until the index changes."""
+        epoch = self.index.epoch
+        cached = self._tc_cache.get(term)
+        if cached is None or cached[0] != epoch:
+            cached = (epoch, sum(tf for _, tf in self.index.postings(term)))
+            self._tc_cache[term] = cached
+        return cached[1]
+
     def _execute_resolution(
         self,
         ctx: ExecutionContext,
@@ -461,19 +545,18 @@ class _QueryMerge:
 class ShardMergePlan:
     """Everything rank-affecting about merging per-shard scatter output.
 
-    Both gather transports drive one of these per batch and feed it the
-    same runtime output tuples: the in-process :class:`ShardedEngine`
-    backends straight from :class:`ShardRuntime`, the cluster router
-    (:mod:`repro.service.cluster`) as decoded from worker replies.
-    Additive :class:`StatsMerge` accumulation, the global
-    context-emptiness check, global per-term score bounds, the shared
-    top-k threshold construction, and the final ``(-score, gid)`` rank
-    all live here — so the local and over-the-wire paths cannot
-    drift apart: identical shard outputs merge to bit-identical
-    rankings regardless of transport.
+    Both callers run one of these per batch through :meth:`fold`: the
+    in-process :class:`ShardedEngine` over its backend, the cluster
+    router (:mod:`repro.service.cluster`) over the wire.  Additive
+    :class:`StatsMerge` accumulation, the global context-emptiness
+    check, global per-term score bounds, each mode's phase-2 tasks and
+    the final ``(-score, gid)`` rank all live here — so the local and
+    over-the-wire paths cannot drift apart: identical shard outputs
+    merge to bit-identical rankings regardless of transport.
 
-    The caller owns dispatch and failure bookkeeping; this object owns
-    merge state keyed by query id.  Calls per query, by mode:
+    The caller owns phase 1 (who analyses the query), dispatch and
+    failure bookkeeping; this object owns merge state keyed by query
+    id.  Calls per query, by mode (:meth:`fold` makes them):
 
     - context: ``add_query`` → ``add_resolution``\\* → ``complete_resolution``
       → ``add_hits``\\* → ``finish``
@@ -481,10 +564,9 @@ class ShardMergePlan:
     - disjunctive: ``add_query`` → ``add_resolution``\\* →
       ``complete_resolution`` → ``term_bounds`` → ``add_topk``\\* → ``finish``
 
-    Shard outputs must be fed in ascending shard order (both transports
-    gather everything, then fold 0..N-1) so reports are deterministic;
-    the merged statistics are integer sums and the final sort key is
-    total, so rankings do not depend on fold order.
+    Shard outputs are folded in ascending shard order so reports are
+    deterministic; the merged statistics are integer sums and the final
+    sort key is total, so rankings do not depend on fold order.
     """
 
     def __init__(
@@ -507,6 +589,114 @@ class ShardMergePlan:
         )
         self.forced = forced
         self._queries: Dict[int, _QueryMerge] = {}
+
+    # -- the fold --------------------------------------------------------
+
+    def fold(
+        self,
+        live: Sequence[int],
+        resolved: Sequence[Dict[int, tuple]],
+        block_max: bool = True,
+    ):
+        """The batch's merge after phase 1, as a generator both callers run.
+
+        ``live`` are the registered qids; ``resolved`` holds one
+        ``{qid: row}`` per shard, ``row`` the :meth:`ShardRuntime.resolve`
+        tuple after its qid.  Yields ``(op, per-shard tasks, qids)``; the
+        caller sends back one ``{qid: row}`` per shard (the op's reply
+        after the qid).  Returns ``{qid: SearchResults | ReproError}``.
+        """
+        outcomes: Dict[int, Union[SearchResults, ReproError]] = {}
+        if self.mode == MODE_CONVENTIONAL:
+            # Whole-collection statistics are exact sums of the shards'
+            # parts; one exchange then filters and scores.
+            tasks = []
+            for qid in live:
+                query = self.query(qid)
+                stats = self.merge_collection_stats(
+                    [rows[qid][2] for rows in resolved]
+                )
+                tasks.append(
+                    (qid, query.keywords, query.predicates, stats, self.top_k)
+                )
+            replies = yield OP_SHARD_CONVENTIONAL, [tasks] * len(resolved), live
+            for shard_id, rows in enumerate(replies):
+                for qid in live:
+                    self.add_conventional(qid, shard_id, *rows[qid])
+            return {qid: self.finish(qid) for qid in live}
+
+        context = self.mode == MODE_CONTEXT
+        for shard_id, rows in enumerate(resolved):
+            for qid in live:
+                if context:
+                    _, _, values, num_results, path, predicted, counter, _ = (
+                        rows[qid]
+                    )
+                else:
+                    _, _, values, path, predicted, counter, _ = rows[qid]
+                    num_results = 0
+                self.add_resolution(
+                    qid, shard_id, values, path, predicted, counter, num_results
+                )
+        survivors = []
+        for qid in live:
+            error = self.complete_resolution(qid)
+            if error is None:
+                survivors.append(qid)
+            else:
+                outcomes[qid] = error
+        if not survivors:
+            return outcomes
+
+        if context:
+            # Each shard re-scores its own phase-1 candidates under the
+            # merged statistics; the ids travel with the task.
+            tasks = [
+                [
+                    (
+                        qid,
+                        self.query(qid).keywords,
+                        rows[qid][-1],
+                        self.merged_values(qid),
+                        self.top_k,
+                    )
+                    for qid in survivors
+                ]
+                for rows in resolved
+            ]
+            replies = yield OP_SHARD_SCORE, tasks, survivors
+            for rows in replies:
+                for qid in survivors:
+                    self.add_hits(qid, rows[qid][0])
+        else:
+            tasks = []
+            for qid in survivors:
+                # The collection-wide max tf is the max over per-shard
+                # maxima, hence the same bounds and term orderings on
+                # every shard.
+                max_tfs = [rows[qid][-1] for rows in resolved]
+                bounds = self.term_bounds(
+                    qid, lambda term: max(m.get(term, 0) for m in max_tfs)
+                )
+                query = self.query(qid)
+                tasks.append(
+                    (
+                        qid,
+                        query.keywords,
+                        query.predicates,
+                        self.merged_values(qid),
+                        self.top_k,
+                        bounds,
+                        block_max,
+                    )
+                )
+            replies = yield OP_SHARD_TOPK, [tasks] * len(resolved), survivors
+            for shard_id, rows in enumerate(replies):
+                for qid in survivors:
+                    self.add_topk(qid, shard_id, *rows[qid], block_max)
+        for qid in survivors:
+            outcomes[qid] = self.finish(qid)
+        return outcomes
 
     # -- registration ----------------------------------------------------
 
@@ -547,9 +737,6 @@ class ShardMergePlan:
             query, specs, StatsMerge.zero(specs), report
         )
         return specs
-
-    def specs(self, qid: int) -> Tuple[StatisticSpec, ...]:
-        return self._queries[qid].specs
 
     def query(self, qid: int) -> ContextQuery:
         return self._queries[qid].query
@@ -598,9 +785,6 @@ class ShardMergePlan:
     def merged_values(self, qid: int) -> Dict[StatisticSpec, float]:
         """The merged additive statistic values (broadcast in phase 2)."""
         return self._queries[qid].values
-
-    def merged_statistics(self, qid: int) -> CollectionStatistics:
-        return CollectionStatistics.from_values(self._queries[qid].values)
 
     def term_bounds(self, qid: int, max_tf_of) -> Dict[str, float]:
         """Global per-term score upper bounds for every shard's scorer.
@@ -788,8 +972,7 @@ class _ThreadBackend:
 # Fork-backend plumbing: workers inherit the parent's runtimes through this
 # module-level registry, captured at fork time.  Entries are registered
 # BEFORE any worker process exists and the runtimes' index state is
-# immutable afterwards, so parent and children stay consistent; only the
-# per-query stash diverges, and it lives exclusively in the worker.
+# immutable afterwards, so parent and children stay consistent.
 _FORK_REGISTRY: Dict[int, List[ShardRuntime]] = {}
 _FORK_KEYS = itertools.count()
 
@@ -805,13 +988,14 @@ def fork_available() -> bool:
 
 
 class _ForkBackend:
-    """One dedicated forked worker process per shard.
+    """Forked worker processes: one single-process pool per shard.
 
-    Dedicated (max_workers=1) executors give each shard task affinity:
-    phase 1 and phase 2 of the same shard always execute in the same
-    process, which the cross-phase stash requires.  Fork (not spawn)
-    start: children get the built indexes by copy-on-write page sharing
-    instead of pickling gigabytes of postings.
+    Every shard op is stateless, so affinity is not needed for
+    correctness; one pool per shard keeps each shard's runtime (and its
+    per-term cache) warm in one child.  Fork (not spawn) start: children
+    get the built indexes by copy-on-write page sharing instead of
+    pickling gigabytes of postings; per-query inputs and outputs,
+    candidate ids included, are pickled both ways.
     """
 
     name = "fork"
@@ -908,7 +1092,6 @@ class ShardedEngine:
             epoch_source=lambda: self.sharded_index.epoch
         )
         self.last_reselection: Optional[dict] = None
-        self._global_tc_cache: Dict[str, int] = {}
         # Analyzers are configuration, identical across shards; shard 0's
         # stand in for the collection's.
         self._analyzer = sharded_index.shards[0].index.analyzer
@@ -993,13 +1176,6 @@ class ShardedEngine:
             )
         self.last_reselection = dict(info) if info else None
         return self._authority.bump_catalog(generation)
-
-    def swap_catalogs(
-        self, catalogs: Optional[Sequence[Optional[ViewCatalog]]]
-    ) -> int:
-        """Deprecated alias for :meth:`install_catalog` with one
-        pre-materialised catalog per shard."""
-        return self.install_catalog(catalogs)
 
     def close(self) -> None:
         """Release backend worker pools and shard index resources
@@ -1174,40 +1350,51 @@ class ShardedEngine:
     ) -> List[Union[SearchResults, ReproError]]:
         started = time.perf_counter()
         force = self._validate_path(path)
-        num_shards = self.sharded_index.num_shards
         results: List[Optional[Union[SearchResults, ReproError]]] = [None] * len(
             queries
         )
 
-        # Parse + analyse in the parent; failures claim their slot now.
-        # All merge state for the batch lives in the shared plan object.
+        # Phase 1 input: parse + analyse in the parent; failures claim
+        # their slot now.  All merge state for the batch lives in the
+        # plan object, so concurrent batches share nothing.
         plan = ShardMergePlan(
             self.ranking, mode, top_k, forced=force is not None
         )
-        analyzed: Dict[int, ContextQuery] = {}
-        specs_by_qid: Dict[int, Tuple[StatisticSpec, ...]] = {}
+        tasks = []
         for qid, query in enumerate(queries):
             try:
                 parsed = parse_query(query) if isinstance(query, str) else query
-                analyzed_query = analyze_query(
+                analyzed = analyze_query(
                     parsed, self._analyzer, self._predicate_analyzer
                 )
-                specs_by_qid[qid] = plan.add_query(qid, analyzed_query)
-                analyzed[qid] = analyzed_query
+                plan.add_query(qid, analyzed)
+                tasks.append(
+                    (qid, analyzed.keywords, analyzed.predicates, mode, force)
+                )
             except ReproError as exc:
                 results[qid] = exc
 
-        if mode == "context":
-            self._run_context(
-                analyzed, specs_by_qid, plan, top_k, results, num_shards, force
-            )
-        elif mode == "conventional":
-            self._run_conventional(analyzed, plan, top_k, results, num_shards)
-        else:
-            self._run_disjunctive(
-                analyzed, specs_by_qid, plan, results, num_shards, force,
+        if tasks:
+            fold = plan.fold(
+                [task[0] for task in tasks],
+                self._map(OP_SHARD_RESOLVE, [tasks] * len(self.runtimes)),
                 block_max,
             )
+            replies = None
+            try:
+                while True:
+                    op, shard_tasks, qids = fold.send(replies)
+                    kwargs = {}
+                    if op == OP_SHARD_TOPK and self._backend.shares_memory:
+                        # Live cross-shard thresholds: a pruning
+                        # accelerator for same-address-space backends.
+                        kwargs["shared_by_qid"] = {
+                            qid: plan.shared_threshold() for qid in qids
+                        }
+                    replies = self._map(op, shard_tasks, **kwargs)
+            except StopIteration as done:
+                for qid, outcome in done.value.items():
+                    results[qid] = outcome
 
         elapsed = time.perf_counter() - started
         for result in results:
@@ -1217,156 +1404,10 @@ class ShardedEngine:
                 result.report.elapsed_seconds = elapsed
         return results  # type: ignore[return-value]
 
-    def _run_context(
-        self, analyzed, specs_by_qid, plan, top_k, results, num_shards, force
-    ):
-        phase1 = [
-            (
-                qid,
-                tuple(query.keywords),
-                tuple(query.predicates),
-                specs_by_qid[qid],
-                force,
-            )
-            for qid, query in analyzed.items()
-        ]
-        if not phase1:
-            return
-        shard_outputs = self._backend.map(
-            "resolve_many", [list(phase1)] * num_shards
-        )
-        for shard_id, output in enumerate(shard_outputs):
-            # Shard order: deterministic merges.
-            for qid, values, num_results, path, predicted, counter in output:
-                plan.add_resolution(
-                    qid, shard_id, values, path, predicted, counter, num_results
-                )
-
-        phase2 = []
-        for qid in analyzed:
-            error = plan.complete_resolution(qid)
-            if error is not None:
-                results[qid] = error
-                phase2.append((qid, None, top_k))  # discard the stash
-                continue
-            phase2.append((qid, plan.merged_values(qid), top_k))
-        shard_outputs = self._backend.map("score_many", [list(phase2)] * num_shards)
-        for output in shard_outputs:
-            for qid, hits in output:
-                if not isinstance(results[qid], ReproError):
-                    plan.add_hits(qid, hits)
-        for qid in analyzed:
-            if not isinstance(results[qid], ReproError):
-                results[qid] = plan.finish(qid)
-
-    def _run_conventional(self, analyzed, plan, top_k, results, num_shards):
-        tasks = []
-        for qid, query in analyzed.items():
-            stats = self._global_statistics(query.keywords)
-            tasks.append(
-                (qid, tuple(query.keywords), tuple(query.predicates), stats, top_k)
-            )
-        if not tasks:
-            return
-        shard_outputs = self._backend.map(
-            "conventional_many", [list(tasks)] * num_shards
-        )
-        for shard_id, output in enumerate(shard_outputs):
-            for qid, hits, num_results, predicted, counter in output:
-                plan.add_conventional(
-                    qid, shard_id, hits, num_results, predicted, counter
-                )
-        for qid in analyzed:
-            results[qid] = plan.finish(qid)
-
-    def _run_disjunctive(
-        self, analyzed, specs_by_qid, plan, results, num_shards, force,
-        block_max=True,
-    ):
-        k = plan.top_k
-        phase1 = [
-            (
-                qid,
-                tuple(query.keywords),
-                tuple(query.predicates),
-                specs_by_qid[qid],
-                True,
-                force,
-            )
-            for qid, query in analyzed.items()
-        ]
-        if not phase1:
-            return
-        shard_outputs = self._backend.map("stats_many", [list(phase1)] * num_shards)
-        for shard_id, output in enumerate(shard_outputs):
-            for qid, values, path, predicted, counter in output:
-                plan.add_resolution(qid, shard_id, values, path, predicted, counter)
-
-        phase2 = []
-        shared_by_qid: Dict[int, SharedTopKThreshold] = {}
-        for qid, query in analyzed.items():
-            error = plan.complete_resolution(qid)
-            if error is not None:
-                results[qid] = error
-                continue
-            bounds = plan.term_bounds(qid, self.sharded_index.max_tf)
-            shared_by_qid[qid] = plan.shared_threshold()
-            phase2.append(
-                (
-                    qid,
-                    tuple(query.keywords),
-                    tuple(query.predicates),
-                    plan.merged_values(qid),
-                    k,
-                    bounds,
-                    block_max,
-                )
-            )
-        if not phase2:
-            return
-        kwargs = (
-            {"shared_by_qid": shared_by_qid}
-            if self._backend.shares_memory
-            else {}
-        )
-        shard_outputs = self._backend.map(
-            "topk_many", [list(phase2)] * num_shards, **kwargs
-        )
-        live = {entry[0] for entry in phase2}
-        for shard_id, output in enumerate(shard_outputs):
-            for qid, hits, counter, topk_diag in output:
-                plan.add_topk(qid, shard_id, hits, counter, topk_diag, block_max)
-        for qid in live:
-            results[qid] = plan.finish(qid)
-
-    # -- merge helpers ---------------------------------------------------
-
-    @staticmethod
-    def _check_additive(specs: Sequence[StatisticSpec]) -> None:
-        """Back-compat alias for :meth:`StatsMerge.check_additive`."""
-        StatsMerge.check_additive(specs)
-
-    def _global_statistics(self, keywords: Sequence[str]) -> CollectionStatistics:
-        """Whole-collection ``S_c(D)`` via exact per-shard sums."""
-        df = {w: self.sharded_index.document_frequency(w) for w in keywords}
-        wants_tc = any(
-            spec.kind == TERM_COUNT
-            for spec in self.ranking.required_collection_specs(keywords)
-        )
-        tc = {w: self._global_tc(w) for w in keywords} if wants_tc else {}
-        return CollectionStatistics(
-            cardinality=self.sharded_index.num_docs,
-            total_length=self.sharded_index.total_length,
-            df=df,
-            tc=tc,
-        )
-
-    def _global_tc(self, term: str) -> int:
-        cached = self._global_tc_cache.get(term)
-        if cached is None:
-            cached = self.sharded_index.term_count(term)
-            self._global_tc_cache[term] = cached
-        return cached
+    def _map(self, op: str, tasks: Sequence[list], **kwargs) -> List[dict]:
+        """Run one shard op on every shard; ``{qid: row after qid}`` each."""
+        outputs = self._backend.map(SHARD_OP_METHODS[op], tasks, **kwargs)
+        return [{row[0]: row[1:] for row in output} for output in outputs]
 
 
 def _merge_paths(paths: set) -> str:

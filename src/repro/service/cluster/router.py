@@ -9,13 +9,13 @@ router scatters it to every shard's replica group over persistent
 pipelined connections, decodes each reply once, at the replica call,
 into the tuples :class:`~repro.core.sharded_engine.ShardRuntime` returns
 in process (the shard-op codec in :mod:`~repro.service.protocol`), and
-folds them through the *same*
-:class:`~repro.core.sharded_engine.ShardMergePlan` the in-process
-backends drive.  That shared merge object is the whole consistency
+drives the *same* :meth:`~repro.core.sharded_engine.ShardMergePlan.fold`
+the in-process engine drives.  That shared fold is the whole consistency
 argument: additive statistics, the global emptiness check, per-term
-score bounds, and the final ``(-score, gid)`` rank are one code path,
-so router rankings are bit-identical to a single-process
-:class:`~repro.core.sharded_engine.ShardedEngine` over the same shards.
+score bounds, each mode's phase-2 tasks, and the final ``(-score, gid)``
+rank are one code path, so router rankings are bit-identical to a
+single-process :class:`~repro.core.sharded_engine.ShardedEngine` over
+the same shards.
 
 Failover: every shard has an N-way replica group (consistent-hash
 placement from the cluster config).  An attempt that times out, cannot
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ... import __version__
 from ...core.backend import VersionAuthority, VersionVector
-from ...core.logical import MODE_CONVENTIONAL, MODE_DISJUNCTIVE
+from ...core.engine import SearchResults
 from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
 from ...core.sharded_engine import ShardMergePlan, _rebuild_query
 from ...errors import QueryError, ReproError
@@ -51,10 +51,7 @@ from ..protocol import (
     MAX_CLUSTER_LINE_BYTES,
     OP_HEALTHZ,
     OP_INSTALL_CATALOG,
-    OP_SHARD_CONVENTIONAL,
     OP_SHARD_RESOLVE,
-    OP_SHARD_SCORE,
-    OP_SHARD_TOPK,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SHED,
@@ -415,9 +412,9 @@ class RouterService(QueryService):
     envelope — is inherited.  Per coalesced batch, :meth:`_run_batch`
     drops tickets whose deadline passed, then runs the phase-1
     ``shard_resolve`` scatter (workers analyse; additive stats come
-    back) → :class:`ShardMergePlan` merge → mode-specific phase 2 →
-    merged rank.  A group with no replica left that answers sheds the
-    batch; a query a worker failed errors alone.  What is its own:
+    back) and drives :meth:`ShardMergePlan.fold` over the wire.  A
+    group with no replica left that answers sheds the batch; a query a
+    worker failed errors alone.  What is its own:
     replica groups with health probes and failover, the version
     authority, ``install_catalog`` / ``update_placement``, and the
     ``router`` sections of ``healthz`` and ``metrics``.
@@ -765,10 +762,10 @@ class RouterService(QueryService):
         path: str,
         queries: Sequence[str],
     ) -> List[dict]:
-        """One batch through the cluster, folded like ``ShardedEngine``:
-        the ``shard_resolve`` scatter (workers analyse and resolve),
-        then the mode's phase 2, every shard's decoded tuples fed to one
-        :class:`ShardMergePlan` in ascending shard order."""
+        """One batch through the cluster: the ``shard_resolve`` scatter
+        (workers analyse and resolve), then the mode's
+        :meth:`ShardMergePlan.fold` — the in-process engine's fold —
+        driven over the wire."""
         plan = ShardMergePlan(
             self.ranking,
             mode,
@@ -800,130 +797,25 @@ class RouterService(QueryService):
                 live.append(qid)
             else:
                 outcomes[qid] = {"status": STATUS_ERROR, "error": error}
-        if live:
-            gather = {
-                MODE_CONVENTIONAL: self._gather_conventional,
-                MODE_DISJUNCTIVE: self._gather_disjunctive,
-            }.get(mode, self._gather_context)
-            for qid in await gather(plan, live, resolved, outcomes):
-                outcomes[qid] = ok_outcome(mode, plan.finish(qid))
+        if not live:
+            return outcomes
+        fold = plan.fold(live, resolved)
+        replies = None
+        try:
+            while True:
+                op, tasks, op_qids = fold.send(replies)
+                replies = await self._scatter(op, tasks, op_qids)
+        except StopIteration as done:
+            for qid, outcome in done.value.items():
+                outcomes[qid] = (
+                    ok_outcome(mode, outcome)
+                    if isinstance(outcome, SearchResults)
+                    else {
+                        "status": STATUS_ERROR,
+                        "error": f"{type(outcome).__name__}: {outcome}",
+                    }
+                )
         return outcomes
-
-    @staticmethod
-    def _complete_resolutions(plan, live, outcomes) -> List[int]:
-        """The global emptiness check once every shard has reported;
-        returns the qids that go on to phase 2."""
-        survivors = []
-        for qid in live:
-            error = plan.complete_resolution(qid)
-            if error is None:
-                survivors.append(qid)
-            else:
-                outcomes[qid] = {
-                    "status": STATUS_ERROR,
-                    "error": f"{type(error).__name__}: {error}",
-                }
-        return survivors
-
-    async def _gather_context(self, plan, live, resolved, outcomes):
-        for shard_id, replies in enumerate(resolved):
-            for qid in live:
-                _, _, values, num_results, path, predicted, counter, _ = (
-                    replies[qid]
-                )
-                plan.add_resolution(
-                    qid, shard_id, values, path, predicted, counter, num_results
-                )
-        phase2 = self._complete_resolutions(plan, live, outcomes)
-        if not phase2:
-            return []
-        # Each shard re-scores its own phase-1 candidates under the
-        # merged statistics; their ids travel through the router, so any
-        # replica of the group can serve this.
-        scored = await self._scatter(
-            OP_SHARD_SCORE,
-            [
-                [
-                    (
-                        qid,
-                        plan.query(qid).keywords,
-                        replies[qid][-1],
-                        plan.merged_values(qid),
-                        plan.top_k,
-                    )
-                    for qid in phase2
-                ]
-                for replies in resolved
-            ],
-            phase2,
-        )
-        for replies in scored:
-            for qid in phase2:
-                plan.add_hits(qid, replies[qid][0])
-        return phase2
-
-    async def _gather_conventional(self, plan, live, resolved, outcomes):
-        # Whole-collection statistics are exact sums of the shards'
-        # parts; one exchange then filters and scores.
-        tasks = []
-        for qid in live:
-            query = plan.query(qid)
-            stats = ShardMergePlan.merge_collection_stats(
-                [replies[qid][2] for replies in resolved]
-            )
-            tasks.append(
-                (qid, query.keywords, query.predicates, stats, plan.top_k)
-            )
-        found = await self._scatter(
-            OP_SHARD_CONVENTIONAL, [tasks] * len(self.groups), live
-        )
-        for shard_id, replies in enumerate(found):
-            for qid in live:
-                hits, num_results, predicted, counter = replies[qid]
-                plan.add_conventional(
-                    qid, shard_id, hits, num_results, predicted, counter
-                )
-        return live
-
-    async def _gather_disjunctive(self, plan, live, resolved, outcomes):
-        for shard_id, replies in enumerate(resolved):
-            for qid in live:
-                _, _, values, path, predicted, counter, _ = replies[qid]
-                plan.add_resolution(
-                    qid, shard_id, values, path, predicted, counter
-                )
-        phase2 = self._complete_resolutions(plan, live, outcomes)
-        tasks = []
-        for qid in phase2:
-            # The collection-wide max tf is the max over per-shard
-            # maxima — the integer the sharded index computes locally,
-            # hence the same bounds and term orderings on every shard.
-            max_tfs = [replies[qid][-1] for replies in resolved]
-            bounds = plan.term_bounds(
-                qid, lambda term: max(m.get(term, 0) for m in max_tfs)
-            )
-            query = plan.query(qid)
-            tasks.append(
-                (
-                    qid,
-                    query.keywords,
-                    query.predicates,
-                    plan.merged_values(qid),
-                    plan.top_k,
-                    bounds,
-                    True,
-                )
-            )
-        if not tasks:
-            return []
-        found = await self._scatter(
-            OP_SHARD_TOPK, [tasks] * len(self.groups), phase2
-        )
-        for shard_id, replies in enumerate(found):
-            for qid in phase2:
-                hits, counter, topk_diag = replies[qid]
-                plan.add_topk(qid, shard_id, hits, counter, topk_diag, True)
-        return phase2
 
     # -- scatter / failover ------------------------------------------------
 

@@ -10,8 +10,9 @@ control, metrics, and ``healthz`` an operator already knows, plus:
   the in-process backends drive (there is no worker-specific resolution
   or scoring code — that is the bit-identity argument's first half).
   Frames are read and built only through the shard-op codec in
-  :mod:`~repro.service.protocol`: a phase-2 task decodes to the runtime's
-  own input tuple and its output tuple encodes as the reply entry;
+  :mod:`~repro.service.protocol`: a task decodes to the input tuple of
+  the runtime method serving the op and its output row encodes as the
+  reply entry (phase 1 analyses the query text here first);
 - segment shipping (``segment_manifest`` / ``fetch_segment``) so a new
   replica bootstraps from this worker's sealed artefact files;
 - catalog install (``install_catalog``): the router ships crc-verified
@@ -21,9 +22,9 @@ control, metrics, and ``healthz`` an operator already knows, plus:
   catalog generation, and acks with its new
   :class:`~repro.core.backend.VersionVector`.
 
-Wire ops are *stateless*: phase 1 returns the shard's local candidate
-ids to the router instead of stashing them, so the router may send
-phase 2 to any replica of the group.  Plain ``query`` ops still work
+Shard ops are *stateless*: phase 1 returns the shard's local candidate
+ids to the router, which sends them back with phase 2, so phase 2 may
+land on any replica of the group.  Plain ``query`` ops still work
 and answer over the shard's *local* statistics — useful for poking one
 worker, but the globally-merged ranking lives at the router.
 
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from ...core.engine import ContextSearchEngine
-from ...core.logical import MODE_CONVENTIONAL, MODE_DISJUNCTIVE
 from ...core.query import analyze_query, parse_query
 from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
-from ...core.sharded_engine import ShardRuntime
-from ...core.statistics import TERM_COUNT
+from ...core.sharded_engine import SHARD_OP_METHODS, ShardRuntime
 from ...errors import QueryError, ReproError
 from ...index.sharded import IndexShard
 from ...views.handle import CatalogHandle
@@ -137,15 +136,7 @@ class ShardWorkerService(QueryService):
             # Phase 2: the router's tasks are ShardRuntime's own tuples;
             # candidate ids and merged statistics travel with the task.
             tasks = decode_shard_tasks(op, payload, self.ranking)
-            if op == OP_SHARD_SCORE:
-                rows = [
-                    (qid, self.runtime.score_stateless(*task))
-                    for qid, *task in tasks
-                ]
-            elif op == OP_SHARD_TOPK:
-                rows = self.runtime.topk_many(tasks)
-            else:
-                rows = self.runtime.conventional_many(tasks)
+            rows = getattr(self.runtime, SHARD_OP_METHODS[op])(tasks)
             return encode_shard_reply(encode_shard_entry(op, row) for row in rows)
         if op == OP_INSTALL_CATALOG:
             return self._install_catalog(payload)
@@ -181,24 +172,8 @@ class ShardWorkerService(QueryService):
         query = analyze_query(
             parse_query(text), index.analyzer, index.predicate_analyzer
         )
-        keywords, predicates = query.keywords, query.predicates
-        if mode == MODE_CONVENTIONAL:
-            row = (qid, keywords, predicates, self._collection_part(keywords))
-        else:
-            specs = tuple(self.ranking.required_collection_specs(keywords))
-            if mode == MODE_DISJUNCTIVE:
-                task = (qid, keywords, predicates, specs, True, force)
-                _, *stats = self.runtime.stats_many([task])[0]
-                max_tf = {
-                    term: index.postings(term).max_tf
-                    for term in dict.fromkeys(keywords)
-                }
-                row = (qid, keywords, predicates, *stats, max_tf)
-            else:
-                (_, *stats), result_ids = self.runtime.resolve_stateless(
-                    qid, keywords, predicates, specs, force
-                )
-                row = (qid, keywords, predicates, *stats, result_ids)
+        task = (qid, query.keywords, query.predicates, mode, force)
+        row = self.runtime.resolve([task])[0]
         return encode_shard_entry(OP_SHARD_RESOLVE, row, self.ranking, mode)
 
     # -- catalog install -------------------------------------------------
@@ -236,25 +211,6 @@ class ShardWorkerService(QueryService):
             "generation": new_generation,
             "version_vector": self.version.to_dict(),
         }
-
-    def _collection_part(self, keywords: Sequence[str]) -> dict:
-        """This shard's slice of the whole-collection statistics — the
-        additive summands of ``ShardedEngine._global_statistics``."""
-        index = self.runtime.index
-        part = {
-            "num_docs": index.num_docs,
-            "total_length": index.total_length,
-            "df": {w: index.document_frequency(w) for w in keywords},
-        }
-        wants_tc = any(
-            spec.kind == TERM_COUNT
-            for spec in self.ranking.required_collection_specs(keywords)
-        )
-        if wants_tc:
-            part["tc"] = {
-                w: sum(tf for _, tf in index.postings(w)) for w in keywords
-            }
-        return part
 
     # -- health ----------------------------------------------------------
 

@@ -39,6 +39,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.logical import MODE_CONTEXT, MODE_CONVENTIONAL, MODE_DISJUNCTIVE
 from ..core.report import _counter_to_dict
+from ..core.sharded_engine import (
+    OP_SHARD_CONVENTIONAL,
+    OP_SHARD_RESOLVE,
+    OP_SHARD_SCORE,
+    OP_SHARD_TOPK,
+)
 from ..core.statistics import CollectionStatistics
 from ..errors import ReproError
 from ..index.postings import CostCounter
@@ -77,12 +83,9 @@ OP_METRICS = "metrics"
 
 # Cluster-internal ops, spoken between the router and shard workers
 # (service/cluster/).  decode_request only routes them; the four shard
-# ops' payloads are laid out by the codec at the end of this module.  A
-# plain single-engine server politely rejects them (see QueryService).
-OP_SHARD_RESOLVE = "shard_resolve"
-OP_SHARD_SCORE = "shard_score"
-OP_SHARD_TOPK = "shard_topk"
-OP_SHARD_CONVENTIONAL = "shard_conventional"
+# ops (named beside ShardRuntime, whose methods serve them) are laid out
+# by the codec at the end of this module.  A plain single-engine server
+# politely rejects them (see QueryService).
 OP_SEGMENT_MANIFEST = "segment_manifest"
 OP_FETCH_SEGMENT = "fetch_segment"
 OP_INSTALL_CATALOG = "install_catalog"
@@ -269,10 +272,11 @@ _TASKS = {
     OP_SHARD_CONVENTIONAL: ("keywords", "predicates", "stats", "top_k"),
 }
 
-# Per (shard op, mode), the fields of a reply entry after ``qid``.  A
-# phase-1 entry is the worker's analysed terms, then the shard's slice:
-# the ``resolve_stateless`` tuple (context), the ``stats_many`` tuple plus
-# per-term max tf (disjunctive), or its whole-collection statistics.
+# Per (shard op, mode), the fields of a reply entry after ``qid``: the
+# row of the ShardRuntime method serving the op.  A phase-1 entry is the
+# worker's analysed terms, then ``ShardRuntime.resolve``'s slice for the
+# mode: statistics and candidate ids (context), statistics and per-term
+# max tf (disjunctive), or the whole-collection statistics part.
 _ENTRIES = {
     (OP_SHARD_RESOLVE, MODE_CONTEXT): (
         "keywords", "predicates", "values", "num_results", "path",

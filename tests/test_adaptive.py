@@ -342,7 +342,7 @@ class TestFlatEngineSwap:
         before = engine.search(QUERY, top_k=6)
         assert before.report.resolution.path == "straightforward"
 
-        generation = engine.swap_catalog(digestive_catalog(handmade_index))
+        generation = engine.install_catalog(digestive_catalog(handmade_index))
         assert generation == engine.catalog_generation == 1
 
         after = engine.search(QUERY, top_k=6)
@@ -357,7 +357,7 @@ class TestFlatEngineSwap:
             handmade_index, catalog=digestive_catalog(handmade_index)
         )
         assert engine.search(QUERY, top_k=6).report.resolution.path == "views"
-        assert engine.swap_catalog(None) == 1
+        assert engine.install_catalog(None) == 1
         assert engine.catalog is None
         after = engine.search(QUERY, top_k=6)
         assert after.report.resolution.path == "straightforward"
@@ -379,7 +379,7 @@ class TestShardedEngineSwap:
             assert (
                 before.report.resolution.path == "sharded-straightforward"
             )
-            generation = engine.swap_catalogs(
+            generation = engine.install_catalog(
                 replicate_catalog(sharded, catalog)
             )
             assert generation == engine.catalog_generation == 1
@@ -396,7 +396,7 @@ class TestShardedEngineSwap:
     def test_swap_catalogs_validates_count(self, sharded):
         with ShardedEngine(sharded, executor="serial") as engine:
             with pytest.raises(QueryError):
-                engine.swap_catalogs([None])  # 1 catalog for 3 shards
+                engine.install_catalog([None])  # 1 catalog for 3 shards
 
     @pytest.mark.skipif(
         not fork_available(), reason="fork start method missing"
@@ -404,7 +404,7 @@ class TestShardedEngineSwap:
     def test_fork_backend_refuses_swap(self, sharded):
         with ShardedEngine(sharded, executor="fork") as engine:
             with pytest.raises(QueryError, match="fork"):
-                engine.swap_catalogs(None)
+                engine.install_catalog(None)
 
 
 class TestLifecycleEngineSwap:
@@ -464,7 +464,7 @@ class TestQueryServiceSwap:
             cached = run_async(service.handle_request(query_request(QUERY)))
             assert cached["cached"] is True
 
-            engine.swap_catalog(digestive_catalog(engine.index))
+            engine.install_catalog(digestive_catalog(engine.index))
             assert service.catalog_generation == 1
 
             after = run_async(service.handle_request(query_request(QUERY)))

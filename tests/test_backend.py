@@ -190,12 +190,6 @@ class TestFlatConformance:
             assert ranking_of(engine) == before  # bit-identical post-swap
         engine.close()  # idempotent
 
-    def test_deprecated_swap_catalog_shim(self):
-        index = build_index(HANDMADE_DOCS)
-        with ContextSearchEngine(index) as engine:
-            assert engine.swap_catalog(digestive_catalog(index)) == 1
-            assert engine.version.catalog_generation == 1
-
 
 class TestShardedConformance:
     def test_contract(self):
@@ -210,15 +204,6 @@ class TestShardedConformance:
             assert_conforms(engine, digestive_catalog(index), before)
             assert ranking_of(engine) == before
             engine.close()  # idempotent
-
-    def test_deprecated_swap_catalogs_shim(self):
-        index = build_index(HANDMADE_DOCS)
-        sharded = ShardedInvertedIndex.from_index(
-            index, 2, partitioner="hash"
-        )
-        with ShardedEngine(sharded, executor="serial") as engine:
-            assert engine.swap_catalogs(None) == 1
-            assert engine.version.catalog_generation == 1
 
 
 class TestLifecycleConformance:

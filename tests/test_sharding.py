@@ -10,6 +10,9 @@ never approximate.
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import (
@@ -33,7 +36,7 @@ from repro import (
     save_sharded_index,
 )
 from repro.core.ranking import ALL_RANKING_FUNCTIONS
-from repro.core.sharded_engine import ShardedEngine as _ShardedEngine
+from repro.core.operators import StatsMerge
 from repro.core.statistics import UNIQUE_TERMS, StatisticSpec
 from repro.data import generate_performance_workload
 from repro.errors import IndexError_
@@ -273,6 +276,45 @@ class TestBitIdenticalProperty:
 # Execution backends never change answers
 
 
+MODES = ("context", "conventional", "disjunctive")
+
+
+def answer_signature(results, mode):
+    """Hits plus the whole report, bar the wall-clock field.
+
+    Disjunctive top-k also drops its pruning work counts: backends that
+    share memory pass shards one live threshold, a pruning accelerator
+    whose effect depends on shard order and thread timing, and the fork
+    backend has none.  Hits and every other report field still match.
+    """
+    report = results.report.to_dict()
+    del report["elapsed_seconds"]
+    if mode == "disjunctive":
+        del report["counter"], report["topk"]
+        for shard in report["per_shard"]:
+            del shard["counter"], shard["result_size"]
+    return hit_tuples(results), report
+
+
+def batch_signature(batch):
+    """Every slot of a ``search_many`` batch: its error or its answer."""
+    return [
+        answer_signature(o.results, batch.mode) if o.ok else o.error
+        for o in batch.outcomes
+    ]
+
+
+EXECUTORS = (
+    "thread",
+    pytest.param(
+        "fork",
+        marks=pytest.mark.skipif(
+            not fork_available(), reason="fork start method missing"
+        ),
+    ),
+)
+
+
 class TestBackends:
     @pytest.fixture(scope="class")
     def sharded(self, random_stack):
@@ -283,26 +325,77 @@ class TestBackends:
     @pytest.fixture(scope="class")
     def serial_answers(self, random_stack, sharded):
         with ShardedEngine(sharded, executor="serial") as engine:
-            return [
-                hit_tuples(engine.search(q)) for q in random_stack["queries"]
-            ]
+            return {
+                mode: [
+                    answer_signature(engine.explain(q, mode=mode), mode)
+                    for q in random_stack["queries"]
+                ]
+                for mode in MODES
+            }
+
+    def assert_backend_identical(self, executor, queries, sharded, serial_answers):
+        with ShardedEngine(sharded, executor=executor) as engine:
+            assert engine.executor_name == executor
+            for mode in MODES:
+                got = [
+                    answer_signature(engine.explain(q, mode=mode), mode)
+                    for q in queries
+                ]
+                assert got == serial_answers[mode], mode
 
     def test_thread_backend_identical(
         self, random_stack, sharded, serial_answers
     ):
-        with ShardedEngine(sharded, executor="thread") as engine:
-            assert engine.executor_name == "thread"
-            got = [hit_tuples(engine.search(q)) for q in random_stack["queries"]]
-        assert got == serial_answers
+        self.assert_backend_identical(
+            "thread", random_stack["queries"], sharded, serial_answers
+        )
 
     @pytest.mark.skipif(not fork_available(), reason="fork start method missing")
     def test_fork_backend_identical(
         self, random_stack, sharded, serial_answers
     ):
-        with ShardedEngine(sharded, executor="fork") as engine:
-            assert engine.executor_name == "fork"
-            got = [hit_tuples(engine.search(q)) for q in random_stack["queries"]]
-        assert got == serial_answers
+        self.assert_backend_identical(
+            "fork", random_stack["queries"], sharded, serial_answers
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_concurrent_batches_stay_apart(
+        self, random_stack, sharded, executor, mode
+    ):
+        """Two threads drive different batches through one engine at
+        once; every answer equals the single-threaded serial one (shard
+        ops keep no per-query state that batches could share)."""
+        queries = random_stack["queries"]
+        batches = [queries[: len(queries) // 2], queries[len(queries) // 2 :]]
+        with ShardedEngine(sharded, executor="serial") as engine:
+            expected = [
+                batch_signature(engine.search_many(batch, mode=mode))
+                for batch in batches
+            ]
+        with ShardedEngine(sharded, executor=executor) as engine:
+
+            def run(slot):
+                return [
+                    (slot, round_no)
+                    for round_no in range(50)
+                    if batch_signature(
+                        engine.search_many(batches[slot], mode=mode)
+                    )
+                    != expected[slot]
+                ]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)  # interleave the batches finely
+            try:
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = [pool.submit(run, slot) for slot in (0, 1)]
+                    mismatches = [
+                        m for future in futures for m in future.result(300)
+                    ]
+            finally:
+                sys.setswitchinterval(interval)
+        assert mismatches == []
 
     def test_close_is_idempotent(self, sharded):
         engine = ShardedEngine(sharded, executor="thread")
@@ -403,7 +496,7 @@ class TestErrorParity:
 
     def test_non_additive_statistic_rejected(self):
         with pytest.raises(QueryError, match="not additive"):
-            _ShardedEngine._check_additive([StatisticSpec(UNIQUE_TERMS)])
+            StatsMerge.check_additive([StatisticSpec(UNIQUE_TERMS)])
 
     def test_uncommitted_shards_rejected(self, corpus):
         from repro import InvertedIndex
