@@ -805,9 +805,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         server = QueryServer(
             engine,
             _service_config(args),
-            service_class=worker_service_factory(
-                shard, ranking, artifact=index_path
-            ),
+            service_class=worker_service_factory(shard, artifact=index_path),
         )
         _serve_until_interrupted(
             server,

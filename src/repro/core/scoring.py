@@ -1,10 +1,10 @@
-"""The one scoring loop both engines share.
+"""The one scoring loop every engine shares.
 
-Before the planner refactor, :class:`~repro.core.engine.ContextSearchEngine`
-and :class:`~repro.core.sharded_engine.ShardRuntime` carried copy-adapted
-scoring loops that had to stay float-for-float identical by discipline
-alone.  This module is the single implementation: score a candidate set
-under resolved collection statistics, then order by ``(-score, id)``.
+:class:`~repro.core.sharded_engine.ShardRuntime` (the per-partition
+evaluator of both the flat and the sharded engine) and the temporal
+engine score through this module, so their rankings cannot drift apart:
+score a candidate set under resolved collection statistics, then order
+by ``(-score, id)``.
 
 Determinism contract (tested by the bit-identity regressions): for a
 given ranking model, candidate order never affects any document's score —
@@ -38,8 +38,8 @@ def score_candidates(
     collection_stats: CollectionStatistics,
 ) -> List[ScoredCandidate]:
     """Score every candidate; returns ``(doc_id, score, external_id)``
-    triples in input order (callers own the sort key — flat engines rank
-    on local ids, shard runtimes on global ids)."""
+    triples in input order (callers own the sort key — a shard runtime
+    ranks on global ids, which for a whole index are the docids)."""
     query_stats = QueryStatistics.from_keywords(keywords)
     unique_keywords = list(dict.fromkeys(keywords))
     plists = {w: index.postings(w) for w in unique_keywords}

@@ -44,11 +44,10 @@ from typing import Optional
 
 from ...core.engine import ContextSearchEngine
 from ...core.query import analyze_query, parse_query
-from ...core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
+from ...core.ranking import RankingFunction
 from ...core.sharded_engine import SHARD_OP_METHODS, ShardRuntime
 from ...errors import QueryError, ReproError
 from ...index.sharded import IndexShard
-from ...views.handle import CatalogHandle
 from ...views.sharding import materialize_catalog
 from ..protocol import (
     CLUSTER_OPS,
@@ -194,18 +193,11 @@ class ShardWorkerService(QueryService):
         generation = int(generation) if generation is not None else None
         info = payload.get("info")
         catalog = materialize_catalog(self.runtime.index, definitions)
+        # The runtime shares the flat engine's handle (see
+        # worker_service_factory), so this one swap retargets both.
         new_generation = self.engine.install_catalog(
             catalog, info=info, generation=generation
         )
-        # worker_thread/worker_service_factory give the flat engine and
-        # the shard runtime one shared handle; if a custom wiring split
-        # them, swap the runtime's too (advance_to makes this idempotent
-        # when they are the same handle).
-        if self.runtime.catalog_handle is not self.engine.catalog_handle:
-            self.runtime.catalog_handle.swap(
-                catalog,
-                generation=generation if generation is not None else new_generation,
-            )
         return {
             "installed_views": len(catalog),
             "generation": new_generation,
@@ -233,34 +225,25 @@ class ShardWorkerService(QueryService):
         return payload
 
 
-def worker_service_factory(
-    shard: IndexShard,
-    ranking: Optional[RankingFunction] = None,
-    catalog=None,
-    artifact: Optional[Path] = None,
-    use_skips: bool = True,
-):
+def worker_service_factory(shard: IndexShard, artifact: Optional[Path] = None):
     """A ``service_class`` callable for :class:`~repro.service.QueryServer`.
 
-    Builds the shard's :class:`ShardRuntime` (the same planner stack the
-    in-process backends use) plus a flat engine over the same sub-index
-    for plain ``query`` ops.  ``catalog`` is wrapped in one shared
-    :class:`CatalogHandle` so an ``install_catalog`` op swaps the
-    runtime's and the flat engine's catalog at one point.
+    ``factory(engine, config)`` takes the server's flat engine over
+    ``shard.index`` (it answers plain ``query`` ops) and builds the
+    shard's :class:`ShardRuntime` — the same per-partition evaluator the
+    in-process backends drive — over that engine's catalog handle,
+    ranking and ``use_skips``.  One handle, so an ``install_catalog`` op
+    swaps the runtime's and the flat engine's catalog at one point.
     """
-    runtime = ShardRuntime(
-        shard,
-        ranking or DEFAULT_RANKING_FUNCTION,
-        CatalogHandle.ensure(catalog),
-        use_skips=use_skips,
-    )
 
     def factory(engine, config):
+        runtime = ShardRuntime(
+            shard, engine.ranking, engine.catalog_handle, engine.use_skips
+        )
         return ShardWorkerService(
             engine, config, runtime=runtime, artifact=artifact
         )
 
-    factory.runtime = runtime
     return factory
 
 
@@ -273,18 +256,11 @@ def worker_thread(
     use_skips: bool = True,
 ) -> ServerThread:
     """A ready-to-start shard worker on a background thread (tests, CLI)."""
-    ranking = ranking or DEFAULT_RANKING_FUNCTION
-    # One handle shared by the plain-query engine and the shard runtime:
-    # a shipped catalog swap reaches both atomically.
-    handle = CatalogHandle.ensure(catalog)
     engine = ContextSearchEngine(
-        shard.index, ranking, catalog=handle, use_skips=use_skips
+        shard.index, ranking, catalog=catalog, use_skips=use_skips
     )
     return ServerThread(
         engine,
         config,
-        service_class=worker_service_factory(
-            shard, ranking, catalog=handle, artifact=artifact,
-            use_skips=use_skips,
-        ),
+        service_class=worker_service_factory(shard, artifact=artifact),
     )

@@ -4,7 +4,9 @@ A :class:`TemporalContextQuery` is ``Q_k | P ∧ attribute ∈ [low, high]``:
 the context is the documents satisfying the predicates *and* the range.
 Evaluation mirrors the main engine: statistics come from a usable
 temporal view when one exists, otherwise from a straightforward plan
-that materialises the range-filtered context.
+that materialises the range-filtered context.  Query analysis
+(:func:`~repro.core.query.analyze_query`) and scoring
+(:mod:`repro.core.scoring`) are the main engine's own.
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.engine import ExecutionReport, SearchHit, SearchResults
-from ..core.query import ContextQuery, ContextSpecification, KeywordQuery, parse_query
+from ..core.query import ContextQuery, ContextSpecification, analyze_query, parse_query
 from ..core.ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
+from ..core.scoring import rank_candidates, score_candidates
 from ..core.statistics import (
     CARDINALITY,
     DOC_FREQUENCY,
     TERM_COUNT,
     TOTAL_LENGTH,
     CollectionStatistics,
-    DocumentStatistics,
-    QueryStatistics,
     StatisticSpec,
 )
 from ..errors import EmptyContextError, QueryError
@@ -102,7 +103,13 @@ class TemporalSearchEngine:
             query = TemporalContextQuery(parse_query(query), low, high)
         started = time.perf_counter()
         report = ExecutionReport()
-        analyzed = self._analyze(query)
+        analyzed = TemporalContextQuery(
+            analyze_query(
+                query.query, self.index.analyzer, self.index.predicate_analyzer
+            ),
+            query.low,
+            query.high,
+        )
 
         specs = self.ranking.required_collection_specs(analyzed.keywords)
         values, result_ids = self._resolve(analyzed, specs, report)
@@ -113,33 +120,20 @@ class TemporalSearchEngine:
             )
         report.context_size = stats.cardinality
 
-        hits = self._score(analyzed.keywords, result_ids, stats, top_k)
+        scored = score_candidates(
+            self.index, self.ranking, analyzed.keywords, result_ids, stats
+        )
+        hits = [
+            SearchHit(doc_id=doc_id, external_id=ext, score=score)
+            for score, doc_id, ext in rank_candidates(
+                [(score, doc_id, ext) for doc_id, score, ext in scored], top_k
+            )
+        ]
         report.result_size = len(result_ids)
         report.elapsed_seconds = time.perf_counter() - started
         return SearchResults(hits=hits, report=report)
 
     # -- internals ------------------------------------------------------------
-
-    def _analyze(self, query: TemporalContextQuery) -> TemporalContextQuery:
-        keywords = []
-        for keyword in query.keywords:
-            analyzed = self.index.analyzer.analyze_query_term(keyword)
-            if analyzed is None:
-                raise QueryError(f"keyword {keyword!r} was removed by analysis")
-            keywords.append(analyzed)
-        predicates = []
-        for m in query.predicates:
-            analyzed = self.index.predicate_analyzer.analyze_query_term(m)
-            if analyzed is None:
-                raise QueryError(f"empty context predicate: {m!r}")
-            predicates.append(analyzed)
-        return TemporalContextQuery(
-            ContextQuery(
-                KeywordQuery(keywords), ContextSpecification(predicates)
-            ),
-            query.low,
-            query.high,
-        )
 
     def _find_view(
         self,
@@ -291,35 +285,3 @@ class TemporalSearchEngine:
             for spec in term_specs:
                 values[spec] = df if spec.kind == DOC_FREQUENCY else tc
         return values
-
-    def _score(
-        self,
-        keywords: Sequence[str],
-        result_ids: Sequence[int],
-        stats: CollectionStatistics,
-        top_k: Optional[int],
-    ) -> List[SearchHit]:
-        query_stats = QueryStatistics.from_keywords(keywords)
-        unique = list(dict.fromkeys(keywords))
-        plists = {w: self.index.postings(w) for w in unique}
-        hits = []
-        for doc_id in result_ids:
-            doc = self.index.store.get(doc_id)
-            doc_stats = DocumentStatistics(
-                length=doc.length,
-                unique_terms=doc.unique_terms,
-                term_frequencies={
-                    w: (plists[w].tf_for(doc_id) or 0) for w in unique
-                },
-            )
-            hits.append(
-                SearchHit(
-                    doc_id=doc_id,
-                    external_id=doc.external_id,
-                    score=self.ranking.score(query_stats, doc_stats, stats),
-                )
-            )
-        hits.sort(key=lambda hit: (-hit.score, hit.doc_id))
-        if top_k is not None:
-            hits = hits[:top_k]
-        return hits

@@ -10,9 +10,12 @@ from repro import (
     QueryError,
     ViewCatalog,
     WideSparseTable,
+    build_index,
     materialize_view,
     parse_query,
 )
+
+from .conftest import HANDMADE_DOCS
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +186,22 @@ class TestContextStatisticsHelper:
         assert stats.df_for("leukemia") == handmade_index.document_frequency(
             "leukemia"
         )
+
+
+class TestIndexGrowth:
+    def test_conventional_lm_ranks_like_a_fresh_engine_after_append(self):
+        """Whole-collection ``tc`` is cached per index epoch: an engine
+        that ranked before ``append_documents`` ranks afterwards exactly
+        as a fresh engine over the grown index."""
+        ranking = DirichletLanguageModel(mu=50)
+        query = "leukemia | Diseases"
+        index = build_index(HANDMADE_DOCS[:4])
+        engine = ContextSearchEngine(index, ranking=ranking)
+        engine.search_conventional(query)
+        index.append_documents(HANDMADE_DOCS[4:])
+        fresh = ContextSearchEngine(index, ranking=ranking)
+        after = engine.search_conventional(query)
+        expected = fresh.search_conventional(query)
+        assert [(h.doc_id, h.score) for h in after.hits] == [
+            (h.doc_id, h.score) for h in expected.hits
+        ]

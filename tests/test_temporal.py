@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ContextSearchEngine
 from repro.core.statistics import cardinality_spec, df_spec, total_length_spec
 from repro.core.query import ContextSpecification
 from repro.errors import EmptyContextError, QueryError, ViewNotUsableError
@@ -159,6 +160,29 @@ class TestTemporalEngine:
         assert a.external_ids() == b.external_ids()
         for ha, hb in zip(a.hits, b.hits):
             assert ha.score == pytest.approx(hb.score, abs=1e-10)
+
+    def test_open_range_equals_context_search(
+        self, engines, corpus_index, top_predicate, probe_term
+    ):
+        """With no bounds the temporal context is the plain context, so
+        both temporal paths rank exactly like the main engine."""
+        flat = ContextSearchEngine(corpus_index)
+        terms = sorted(
+            list(corpus_index.vocabulary)[:300],
+            key=corpus_index.document_frequency,
+        )[-3:]
+        probes = [f"{probe_term} | {top_predicate}"] + [
+            f"{term} {probe_term} | {top_predicate}" for term in terms
+        ]
+        for text in probes:
+            expected = [(h.doc_id, h.external_id, h.score) for h in flat.search(text).hits]
+            assert expected
+            for engine, path in zip(engines, ("views", "straightforward")):
+                results = engine.search(text)
+                assert results.report.resolution.path == path
+                assert [
+                    (h.doc_id, h.external_id, h.score) for h in results.hits
+                ] == expected
 
     def test_range_restricts_results(
         self, engines, years, top_predicate, probe_term
