@@ -129,27 +129,25 @@ def _cmd_index(args: argparse.Namespace) -> int:
     from .index.inverted_index import build_index
 
     documents = load_documents(args.corpus)
-    fmt = getattr(args, "format", 4)
-    codec = "binary-v4" if fmt == 4 else f"json-v{fmt}"
     if args.shards > 1:
         sharded = ShardedInvertedIndex.build(
             documents, args.shards, partitioner=args.partitioner
         )
-        save_sharded_index(sharded, args.out, format=fmt)
+        save_sharded_index(sharded, args.out)
         sizes = [shard.index.num_docs for shard in sharded.shards]
         print(
             f"indexed {sharded.num_docs} documents into {args.shards} "
             f"{args.partitioner}-partitioned shards {sizes} "
-            f"({codec}) -> {args.out}"
+            f"(binary-v4) -> {args.out}"
         )
         return 0
     index = build_index(documents)
-    save_index(index, args.out, format=fmt)
+    save_index(index, args.out)
     print(
         f"indexed {index.num_docs} documents: "
         f"{len(index.vocabulary)} content terms, "
         f"{len(index.predicate_vocabulary)} predicates "
-        f"({codec}) -> {args.out}"
+        f"(binary-v4) -> {args.out}"
     )
     return 0
 
@@ -427,7 +425,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_segmented(path: str, must_exist: bool = True, storage_format: int = 4):
+def _open_segmented(path: str, must_exist: bool = True):
     """Open a segmented index directory for a lifecycle command."""
     from pathlib import Path
 
@@ -438,16 +436,13 @@ def _open_segmented(path: str, must_exist: bool = True, storage_format: int = 4)
         raise StorageError(
             f"not a segmented index directory (no manifest): {path}"
         )
-    return SegmentedIndex.open(path, storage_format=storage_format)
+    return SegmentedIndex.open(path)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Append documents to a segmented index (WAL + memtable)."""
     documents = load_documents(args.corpus)
-    index = _open_segmented(
-        args.index, must_exist=False,
-        storage_format=getattr(args, "format", 4),
-    )
+    index = _open_segmented(args.index, must_exist=False)
     try:
         index.add_documents(documents)
         if args.flush:
@@ -466,9 +461,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_compact(args: argparse.Namespace) -> int:
     """Merge segments and physically drop deleted documents."""
-    index = _open_segmented(
-        args.index, storage_format=getattr(args, "format", 4)
-    )
+    index = _open_segmented(args.index)
     try:
         report = index.compact(full=args.full)
         info = index.info()
@@ -1035,9 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="partition into N shards (1 = flat single index)")
     p.add_argument("--partitioner", choices=("hash", "range"), default="hash")
-    p.add_argument("--format", type=int, choices=(3, 4), default=4,
-                   help="artefact format: 4 = compressed binary blocks "
-                        "(mmap, lazy decode), 3 = legacy JSON")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("select", help="select and materialise views")
@@ -1120,9 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flush", action="store_true",
                    help="seal the memtable into an immutable segment "
                         "after ingesting")
-    p.add_argument("--format", type=int, choices=(3, 4), default=4,
-                   help="format for newly sealed segment files: "
-                        "4 = binary blocks, 3 = gzipped JSON")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser(
@@ -1134,9 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="merge everything into one segment "
                         "(default: size-tiered adjacent runs)")
-    p.add_argument("--format", type=int, choices=(3, 4), default=4,
-                   help="format for segment files the merge writes: "
-                        "4 = binary blocks, 3 = gzipped JSON")
     p.set_defaults(func=_cmd_compact)
 
     p = sub.add_parser(

@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..errors import IndexError_
+from ..errors import IndexError_, StorageError
 from ..index.analysis import Analyzer, KeywordAnalyzer
 from ..index.documents import Document, StoredDocument
 from ..index.inverted_index import (
@@ -89,7 +89,6 @@ class SegmentedIndex:
         predicate_field: str = DEFAULT_PREDICATE_FIELD,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
-        storage_format: int = SEGMENT_FORMAT_VERSION,
     ):
         self.analyzer = analyzer if analyzer is not None else Analyzer()
         self.predicate_analyzer = (
@@ -117,9 +116,7 @@ class SegmentedIndex:
         self._wal: Optional[WriteAheadLog] = None
         self._memtable = self._new_memtable(0)
         if directory is not None:
-            self._storage = SegmentStorage(
-                directory, segment_format=storage_format
-            )
+            self._storage = SegmentStorage(directory)
             self._wal = WriteAheadLog(
                 self._storage.wal_path(self._storage.default_wal_name())
             )
@@ -157,8 +154,15 @@ class SegmentedIndex:
         paths, which reproduces the pre-crash memtable and tombstones
         bit-identically.  Analyzer arguments matter only for a fresh or
         replayed corpus and must match what built the directory.
+        Segments are written as v4 block files only; ``storage_format``
+        is validated and any other value is a :class:`StorageError`.
         """
-        storage = SegmentStorage(directory, segment_format=storage_format)
+        if storage_format != SEGMENT_FORMAT_VERSION:
+            raise StorageError(
+                f"cannot write segment format {storage_format!r} "
+                f"(segments are written as format {SEGMENT_FORMAT_VERSION})"
+            )
+        storage = SegmentStorage(directory)
         state = storage.load()
         if state is None:
             return cls(
@@ -166,7 +170,6 @@ class SegmentedIndex:
                 analyzer=analyzer,
                 predicate_analyzer=predicate_analyzer,
                 flush_threshold=flush_threshold,
-                storage_format=storage_format,
             )
         index = cls.__new__(cls)
         index.analyzer = analyzer if analyzer is not None else Analyzer()
@@ -604,10 +607,8 @@ class SegmentedIndex:
             total_bytes += size
             total_docs += segment.num_docs
         return {
-            "segment_format": self._storage.segment_format,
-            "codec": (
-                "block-v4" if self._storage.segment_format == 4 else "json-v3"
-            ),
+            "segment_format": SEGMENT_FORMAT_VERSION,
+            "codec": "block-v4",
             "files": files,
             "total_bytes": total_bytes,
             "bytes_per_doc": (

@@ -5,8 +5,9 @@ A segmented index directory looks like::
     <dir>/manifest.json            the commit point (atomic os.replace)
     <dir>/wal-<version>.jsonl      the live WAL generation
     <dir>/segments/<id>.seg        one immutable file per sealed segment
-                                   (binary block format; legacy segments
-                                   may persist as <id>.json.gz)
+                                   (v4 binary block format; segments
+                                   sealed by older builds may persist as
+                                   v2/v3 JSON <id>.json.gz and still load)
 
 **Commit protocol.**  Segment files are written first (each via a
 temporary file + ``os.replace``; segments are immutable so a file is
@@ -27,20 +28,27 @@ before a commit are baked into the manifest's segments and their old WAL
 generation is simply never replayed again, even if the crash happened
 before the old file was unlinked.
 
-Segment payloads persist **precompiled posting columns** next to the
+Segment files persist **precompiled posting columns** next to the
 analysed documents, so loading a segment is O(documents + postings) —
-array adoption, no re-tokenisation, no posting accumulation.
+array adoption, no re-tokenisation, no posting accumulation.  Legacy
+JSON segments decode through :func:`repro.storage.decode_posting_columns`,
+the same column decoder flat v2/v3 index files use.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
+from ..errors import StorageError
+from ..index import blockstore
 from ..index.documents import StoredDocument
-from ..index.postings import PostingList
+from ..storage import (
+    LazyTokenFields,
+    _read_payload,
+    _write_payload,
+    decode_posting_columns,
+)
 from .segment import Segment
 
 __all__ = ["SegmentStorage", "ManifestState"]
@@ -49,190 +57,49 @@ PathLike = Union[str, Path]
 
 SEGMENT_DIR = "segments"
 MANIFEST_NAME = "manifest.json"
-# v4 stores segments as binary block files (``<id>.seg``, see
-# repro.index.blockstore): mmap-backed, bit-packed posting blocks
-# decoded lazily per query.  v3 added max_tf and the per-block max-tf
-# column to the JSON payload; v2 (columns only) recomputes the maxima
-# at freeze.  All three load; a directory may mix formats — each
-# segment file is sniffed by content, and flush/compaction emit the
-# storage's configured format for *new* segments without rewriting old
-# ones.
+# Segments are written only as v4 binary block files (``<id>.seg``, see
+# repro.index.blockstore): mmap-backed, bit-packed posting blocks decoded
+# lazily per query.  v3 (JSON with max_tf and per-block maxima) and v2
+# (JSON columns only) segments sealed by older builds still load; a
+# directory may mix formats — each segment file is sniffed by content
+# and keeps its name until compaction rewrites it as ``.seg``.
 SEGMENT_FORMAT_VERSION = 4
 SUPPORTED_SEGMENT_VERSIONS = (2, 3, 4)
-_SEGMENT_SUFFIXES = {3: ".json.gz", 4: ".seg"}
-
-
-def _storage_error(message: str):
-    from ..storage import StorageError
-
-    return StorageError(message)
-
-
-def _encode_column(values) -> str:
-    from ..storage import encode_column
-
-    return encode_column(values)
-
-
-def _decode_column(text):
-    from ..storage import decode_column
-
-    return decode_column(text)
-
-
-def _encode_tokens(tokens):
-    from ..storage import encode_tokens
-
-    return encode_tokens(tokens)
-
-
-def _lazy_tokens(mapping):
-    from ..storage import LazyTokenFields
-
-    return LazyTokenFields(mapping)
-
-
-def _write_atomic(path: Path, payload: dict, gzipped: bool) -> None:
-    """Write JSON to ``path`` via a temporary sibling + ``os.replace``."""
-    import gzip
-
-    tmp = path.with_name(path.name + ".tmp")
-    if gzipped:
-        with gzip.open(tmp, "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    else:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    os.replace(tmp, path)
-
-
-def _read_json(path: Path) -> dict:
-    """Read one JSON artefact; corruption surfaces as a StorageError."""
-    import gzip
-
-    try:
-        if path.suffix == ".gz":
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                return json.load(handle)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise _storage_error(f"missing artefact {path}") from None
-    except (ValueError, EOFError, OSError, UnicodeDecodeError) as exc:
-        raise _storage_error(f"corrupt artefact {path}: {exc}") from None
-
-
-def _encode_segment(segment: Segment) -> dict:
-    return {
-        "kind": "segment",
-        # JSON payloads are the v3 layout regardless of the storage's
-        # configured default; v4 is the binary block-file format.
-        "version": 3,
-        "segment_id": segment.segment_id,
-        "documents": [
-            {
-                "internal_id": doc.internal_id,
-                "external_id": doc.external_id,
-                "field_tokens": {
-                    name: _encode_tokens(tokens)
-                    for name, tokens in doc.field_tokens.items()
-                },
-                "length": doc.length,
-                "unique_terms": doc.unique_terms,
-            }
-            for doc in segment.documents
-        ],
-        "content": {
-            term: [
-                _encode_column(plist.doc_ids),
-                _encode_column(plist.tfs),
-                plist.max_tf,
-                _encode_column(plist.block_max_tfs),
-            ]
-            for term, plist in segment.content.items()
-        },
-        "predicates": {
-            term: _encode_column(plist.doc_ids)
-            for term, plist in segment.predicates.items()
-        },
-    }
+_LEGACY_SEGMENT_SUFFIX = ".json.gz"
 
 
 def _decode_segment(payload: dict, path: Path, segment_size: int) -> Segment:
+    """Decode a legacy v2/v3 JSON segment payload."""
     if payload.get("kind") != "segment":
-        raise _storage_error(
+        raise StorageError(
             f"expected a persisted segment in {path}, "
             f"found {payload.get('kind')!r}"
         )
-    version = payload.get("version")
-    if version not in SUPPORTED_SEGMENT_VERSIONS:
-        raise _storage_error(
-            f"unsupported segment format version {version!r} "
-            f"in {path} (this build reads versions "
-            f"{', '.join(map(str, SUPPORTED_SEGMENT_VERSIONS))})"
+    if payload.get("version") not in (2, 3):
+        raise StorageError(
+            f"unsupported segment format version {payload.get('version')!r} "
+            f"in {path} (this build reads JSON segment versions 2, 3)"
         )
     try:
         documents = [
             StoredDocument(
                 internal_id=entry["internal_id"],
                 external_id=entry["external_id"],
-                field_tokens=_lazy_tokens(entry["field_tokens"]),
+                field_tokens=LazyTokenFields(entry["field_tokens"]),
                 length=entry["length"],
                 unique_terms=entry["unique_terms"],
             )
             for entry in payload["documents"]
         ]
-        content = {}
-        if version >= 3:
-            for term, (ids, tfs, max_tf, blocks) in payload["content"].items():
-                content[term] = PostingList.from_arrays(
-                    term,
-                    _decode_column(ids),
-                    _decode_column(tfs),
-                    segment_size=segment_size,
-                    validate=False,
-                    max_tf=max_tf,
-                    block_max_tfs=_decode_column(blocks),
-                )
-        else:
-            # v2 legacy: freeze recomputes max_tf and the block maxima.
-            for term, (ids, tfs) in payload["content"].items():
-                content[term] = PostingList.from_arrays(
-                    term,
-                    _decode_column(ids),
-                    _decode_column(tfs),
-                    segment_size=segment_size,
-                    validate=False,
-                )
-        predicates = {}
-        for term, packed in payload["predicates"].items():
-            ids = _decode_column(packed)
-            predicates[term] = PostingList.from_arrays(
-                term,
-                ids,
-                [1] * len(ids),
-                segment_size=segment_size,
-                validate=False,
-                max_tf=1 if len(ids) else 0,
-                block_max_tfs=[1] * (-(-len(ids) // segment_size)),
-            )
+        content, predicates = decode_posting_columns(payload, segment_size)
+        segment_id = payload["segment_id"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise _storage_error(
+        raise StorageError(
             f"malformed segment payload in {path}: {exc!r}"
         ) from None
     return Segment(
-        payload["segment_id"],
-        documents,
-        content,
-        predicates,
-        segment_size=segment_size,
+        segment_id, documents, content, predicates, segment_size=segment_size
     )
-
-
-def _is_block_segment(path: Path) -> bool:
-    from ..index import blockstore
-
-    return blockstore.is_block_file(path)
 
 
 def _load_block_segment(
@@ -240,23 +107,21 @@ def _load_block_segment(
 ) -> Segment:
     """Open a v4 block-file segment; the reader stays attached for lazy
     block decode and is released by :meth:`Segment.close`."""
-    from ..index import blockstore
-
     reader = blockstore.BlockFile(path)
     try:
         if reader.kind != "segment":
-            raise _storage_error(
+            raise StorageError(
                 f"expected a persisted segment in {path}, "
                 f"found {reader.kind!r}"
             )
         if reader.segment_size != segment_size:
-            raise _storage_error(
+            raise StorageError(
                 f"segment file {path} was sealed with segment_size "
                 f"{reader.segment_size}, manifest expects {segment_size}"
             )
         stored_id = reader.header.get("segment_id", segment_id)
         if stored_id != segment_id:
-            raise _storage_error(
+            raise StorageError(
                 f"segment file {path} holds segment {stored_id!r}, "
                 f"manifest expects {segment_id!r}"
             )
@@ -297,26 +162,10 @@ class ManifestState:
 
 
 class SegmentStorage:
-    """Filesystem backing of one segmented index directory.
+    """Filesystem backing of one segmented index directory."""
 
-    ``segment_format`` picks the layout for *newly written* segment
-    files (4 = binary block files, 3 = gzipped JSON); existing files are
-    immutable and keep whatever format they were sealed in.
-    """
-
-    def __init__(
-        self,
-        directory: PathLike,
-        segment_format: int = SEGMENT_FORMAT_VERSION,
-    ):
-        if segment_format not in _SEGMENT_SUFFIXES:
-            raise _storage_error(
-                f"cannot write segment format {segment_format!r} "
-                f"(writable formats: "
-                f"{', '.join(map(str, sorted(_SEGMENT_SUFFIXES)))})"
-            )
+    def __init__(self, directory: PathLike):
         self.directory = Path(directory)
-        self.segment_format = segment_format
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / SEGMENT_DIR).mkdir(exist_ok=True)
 
@@ -337,33 +186,26 @@ class SegmentStorage:
     def _segment_file_name(self, segment_id: str) -> str:
         """Resolve a segment's on-disk file name.
 
-        Segment files are immutable, so if the segment was already
-        sealed (in any format) its existing file is reused verbatim;
-        only brand-new segments get the storage's configured format.
+        Segment files are immutable, so a legacy JSON segment keeps its
+        existing file; every other segment is a v4 ``.seg`` file.
         """
-        for suffix in _SEGMENT_SUFFIXES.values():
-            name = f"{segment_id}{suffix}"
-            if (self.directory / SEGMENT_DIR / name).exists():
-                return name
-        return f"{segment_id}{_SEGMENT_SUFFIXES[self.segment_format]}"
+        legacy = f"{segment_id}{_LEGACY_SEGMENT_SUFFIX}"
+        if (self.directory / SEGMENT_DIR / legacy).exists():
+            return legacy
+        return f"{segment_id}.seg"
 
     def _write_segment(self, segment: Segment, path: Path) -> None:
-        if path.suffix == ".seg":
-            from ..index import blockstore
-
-            blockstore.write_block_file(
-                path,
-                kind="segment",
-                config={"segment_size": segment.segment_size},
-                segment_size=segment.segment_size,
-                documents=segment.documents,
-                content=segment.content,
-                predicates=segment.predicates,
-                header_extra={"segment_id": segment.segment_id},
-                atomic=True,
-            )
-        else:
-            _write_atomic(path, _encode_segment(segment), gzipped=True)
+        blockstore.write_block_file(
+            path,
+            kind="segment",
+            config={"segment_size": segment.segment_size},
+            segment_size=segment.segment_size,
+            documents=segment.documents,
+            content=segment.content,
+            predicates=segment.predicates,
+            header_extra={"segment_id": segment.segment_id},
+            atomic=True,
+        )
 
     # -- commit ----------------------------------------------------------
 
@@ -384,7 +226,7 @@ class SegmentStorage:
         segment_files: Dict[str, str] = {}
         for segment in segments:
             if segment.ephemeral:
-                raise _storage_error(
+                raise StorageError(
                     f"refusing to persist ephemeral segment "
                     f"{segment.segment_id!r}"
                 )
@@ -397,7 +239,7 @@ class SegmentStorage:
         wal_name = f"wal-{version:06d}.jsonl"
         manifest = {
             "kind": "segmented_index",
-            "version": self.segment_format,
+            "version": SEGMENT_FORMAT_VERSION,
             "config": dict(config),
             "next_doc_id": next_doc_id,
             "next_segment_number": next_segment_number,
@@ -415,7 +257,7 @@ class SegmentStorage:
                 for segment in segments
             ],
         }
-        _write_atomic(self.manifest_path, manifest, gzipped=False)
+        _write_payload(self.manifest_path, manifest)
 
         # Post-commit cleanup: stale WAL generations and segment files the
         # manifest no longer references.  Best effort — leftovers are
@@ -447,14 +289,14 @@ class SegmentStorage:
         """
         if not self.exists():
             return None
-        manifest = _read_json(self.manifest_path)
+        manifest = _read_payload(self.manifest_path)
         if manifest.get("kind") != "segmented_index":
-            raise _storage_error(
+            raise StorageError(
                 f"expected a segmented-index manifest in "
                 f"{self.manifest_path}, found {manifest.get('kind')!r}"
             )
         if manifest.get("version") not in SUPPORTED_SEGMENT_VERSIONS:
-            raise _storage_error(
+            raise StorageError(
                 f"unsupported manifest version {manifest.get('version')!r} "
                 f"in {self.manifest_path} (this build reads versions "
                 f"{', '.join(map(str, SUPPORTED_SEGMENT_VERSIONS))})"
@@ -464,15 +306,15 @@ class SegmentStorage:
         segments: List[Segment] = []
         for entry in manifest.get("segments", ()):
             path = self.directory / entry["file"]
-            if _is_block_segment(path):
+            if blockstore.is_block_file(path):
                 segment = _load_block_segment(
                     path, entry["segment_id"], segment_size
                 )
             else:
                 try:
-                    payload = _read_json(path)
+                    payload = _read_payload(path)
                 except Exception as exc:
-                    raise _storage_error(
+                    raise StorageError(
                         f"segmented index {self.directory}: segment file "
                         f"{path} is missing or unreadable ({exc})"
                     ) from None

@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..errors import ReproError
+from ..errors import StorageError
 from ..index.documents import Document
 
 __all__ = ["WriteAheadLog", "replay_wal"]
@@ -32,12 +32,6 @@ PathLike = Union[str, Path]
 
 OP_ADD = "add"
 OP_DELETE = "delete"
-
-
-def _storage_error(message: str):
-    from ..storage import StorageError
-
-    return StorageError(message)
 
 
 class WriteAheadLog:
@@ -107,7 +101,7 @@ def replay_wal(path: PathLike) -> List[dict]:
     try:
         raw_lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _storage_error(f"unreadable WAL {path}: {exc}") from None
+        raise StorageError(f"unreadable WAL {path}: {exc}") from None
     records: List[dict] = []
     lines = [line for line in raw_lines if line.strip()]
     for number, line in enumerate(lines, start=1):
@@ -116,12 +110,12 @@ def replay_wal(path: PathLike) -> List[dict]:
         except ValueError:
             if number == len(lines):
                 break  # torn final write: the mutation never committed
-            raise _storage_error(
+            raise StorageError(
                 f"corrupt WAL {path}: undecodable record at line {number}"
             ) from None
         op = record.get("op")
         if op not in (OP_ADD, OP_DELETE) or "doc_id" not in record:
-            raise _storage_error(
+            raise StorageError(
                 f"corrupt WAL {path}: unknown record {record!r} "
                 f"at line {number}"
             )

@@ -35,7 +35,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...errors import ReproError
+from ...errors import StorageError
 from .config import ClusterConfigError
 
 __all__ = [
@@ -49,12 +49,6 @@ __all__ = [
 # Raw bytes per fetch_segment chunk; base64 inflates 4/3, keeping the
 # response line far below MAX_CLUSTER_LINE_BYTES.
 ship_chunk_bytes = 1 << 18
-
-
-def _storage_error(message: str) -> ReproError:
-    from ...storage import StorageError
-
-    return StorageError(message)
 
 
 def _file_crc32(path: Path) -> int:
@@ -79,7 +73,7 @@ class ArtifactShipper:
     def __init__(self, artifact: Path):
         self.root = Path(artifact)
         if not self.root.exists():
-            raise _storage_error(f"missing artefact {self.root}")
+            raise StorageError(f"missing artefact {self.root}")
 
     def _files(self) -> Dict[str, Path]:
         if self.root.is_file():
@@ -108,7 +102,7 @@ class ArtifactShipper:
     def fetch(self, name: str, offset: int, length: Optional[int]) -> dict:
         path = self._files().get(str(name))
         if path is None:
-            raise _storage_error(
+            raise StorageError(
                 f"artefact has no file named {name!r} "
                 f"(serving {self.root.name})"
             )
@@ -157,14 +151,14 @@ def fetch_artifact(
     try:
         manifest = client.request({"op": "segment_manifest"})
         if manifest.get("status") != "ok":
-            raise _storage_error(
+            raise StorageError(
                 f"bootstrap peer {address} refused segment_manifest: "
                 f"{manifest.get('error', 'no error text')}"
             )
         for entry in manifest.get("files", []):
             name = entry["name"]
             if Path(name).is_absolute() or ".." in Path(name).parts:
-                raise _storage_error(
+                raise StorageError(
                     f"bootstrap peer {address} offered an unsafe file "
                     f"name {name!r}"
                 )
@@ -191,14 +185,14 @@ def fetch_artifact(
                         }
                     )
                     if chunk.get("status") != "ok":
-                        raise _storage_error(
+                        raise StorageError(
                             f"bootstrap peer {address} failed fetching "
                             f"{name!r}: {chunk.get('error', 'no error text')}"
                         )
                     try:
                         data = base64.b64decode(chunk["data"])
                     except (KeyError, binascii.Error, TypeError):
-                        raise _storage_error(
+                        raise StorageError(
                             f"bootstrap peer {address} sent an undecodable "
                             f"chunk of {name!r}"
                         ) from None
@@ -210,7 +204,7 @@ def fetch_artifact(
                         break
             if written != entry["size"] or (crc & 0xFFFFFFFF) != entry["crc32"]:
                 tmp.unlink(missing_ok=True)
-                raise _storage_error(
+                raise StorageError(
                     f"corrupt artefact {target}: segment shipping from "
                     f"{address} got {written} bytes/crc {crc & 0xFFFFFFFF}, "
                     f"expected {entry['size']} bytes/crc {entry['crc32']}"
@@ -218,7 +212,7 @@ def fetch_artifact(
             os.replace(tmp, target)
             copied += 1
     except ProtocolError as exc:
-        raise _storage_error(
+        raise StorageError(
             f"bootstrap peer {address} broke the shipping protocol: {exc}"
         ) from None
     finally:
@@ -273,33 +267,33 @@ def decode_catalog_frame(frame: dict) -> List[Tuple]:
     prove it received intact.
     """
     if not isinstance(frame, dict) or "data" not in frame:
-        raise _storage_error("catalog frame missing 'data'")
+        raise StorageError("catalog frame missing 'data'")
     try:
         body = base64.b64decode(frame["data"], validate=True)
     except (binascii.Error, TypeError, ValueError):
-        raise _storage_error("catalog frame is not valid base64") from None
+        raise StorageError("catalog frame is not valid base64") from None
     size = frame.get("size")
     crc = frame.get("crc32")
     if size is not None and len(body) != int(size):
-        raise _storage_error(
+        raise StorageError(
             f"corrupt catalog frame: got {len(body)} bytes, "
             f"expected {size}"
         )
     if crc is not None and (zlib.crc32(body) & 0xFFFFFFFF) != int(crc):
-        raise _storage_error(
+        raise StorageError(
             f"corrupt catalog frame: crc {zlib.crc32(body) & 0xFFFFFFFF}, "
             f"expected {crc}"
         )
     try:
         entries = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        raise _storage_error("catalog frame body is not valid JSON") from None
+        raise StorageError("catalog frame body is not valid JSON") from None
     if not isinstance(entries, list):
-        raise _storage_error("catalog frame body must be a list of views")
+        raise StorageError("catalog frame body must be a list of views")
     definitions: List[Tuple] = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise _storage_error("catalog frame view entry must be a dict")
+            raise StorageError("catalog frame view entry must be a dict")
         try:
             definitions.append(
                 (
@@ -309,7 +303,7 @@ def decode_catalog_frame(frame: dict) -> List[Tuple]:
                 )
             )
         except (KeyError, TypeError):
-            raise _storage_error(
+            raise StorageError(
                 "catalog frame view entry missing keywords/df/tc"
             ) from None
     return definitions

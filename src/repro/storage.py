@@ -3,20 +3,23 @@
 A production deployment cannot re-ingest 18 M citations or re-run a
 40-hour view selection on every restart (Section 6.2's selection cost is
 the whole motivation for persisting its output).  This module serialises
-both artefacts to versioned JSON (gzip-compressed when the path ends in
-``.gz``):
+both artefacts:
 
 * **indexes** default to the *binary block format* (version 4, see
   :mod:`repro.index.blockstore`): delta-encoded bit-packed posting
   blocks behind an mmap, a fixed-width term dictionary, and per-block
   skip/max-tf metadata, so a cold open reads only header + dictionaries
-  and queries decode just the blocks they touch.  ``format=3`` still
-  writes the JSON layout (precompiled posting columns as base64-packed
-  little-endian int64), and version-3/2/1 payloads all load through
-  their legacy decoders;
-* **catalogs** persist each view's keyword set, parameter-column terms,
-  and non-empty group tuples — loading is O(total tuples), no corpus
-  access required.
+  and queries decode just the blocks they touch.  The library writer's
+  ``format=3`` still writes the JSON layout (precompiled posting columns
+  as base64-packed little-endian int64), and version-3/2/1 payloads all
+  load; the v2/v3 posting columns of flat files and of legacy JSON
+  lifecycle segments decode through one :func:`decode_posting_columns`;
+* **catalogs** and raw documents persist as versioned JSON — loading a
+  catalog is O(total tuples), no corpus access required.
+
+Every JSON artefact (gzip-compressed when the path ends in ``.gz``) is
+written through :func:`_write_payload`: a temporary sibling promoted by
+``os.replace``, so a failed save never destroys the previous file.
 
 Segmented index *directories* (manifest + WAL + per-segment files) are
 the lifecycle layer's concern — see :mod:`repro.lifecycle.storage` —
@@ -29,6 +32,7 @@ from __future__ import annotations
 import base64
 import gzip
 import json
+import os
 import sys
 from array import array
 from pathlib import Path
@@ -36,8 +40,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
 from .errors import StorageError
 from .index import blockstore
-from .index.documents import Document
+from .index.documents import Document, StoredDocument
 from .index.inverted_index import InvertedIndex
+from .index.postings import PostingList
 from .views.catalog import ViewCatalog
 from .views.view import GroupTuple, MaterializedView
 
@@ -151,10 +156,21 @@ class LazyTokenFields(dict):
         return [self[key] for key in dict.keys(self)]
 
 
-def _open_write(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "wt", encoding="utf-8")
-    return open(path, "w", encoding="utf-8")
+def _write_payload(path: Path, payload: dict) -> None:
+    """Write one JSON artefact via a temporary sibling + ``os.replace``.
+
+    The previous file at ``path`` survives a payload that fails to
+    encode (or a crash mid-write); the sibling is removed on failure.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    opener = gzip.open if path.suffix == ".gz" else open
+    try:
+        with opener(tmp, "wt", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _open_read(path: Path):
@@ -235,8 +251,7 @@ def save_documents(documents, path: PathLike) -> None:
             for doc in documents
         ],
     }
-    with _open_write(path) as handle:
-        json.dump(payload, handle)
+    _write_payload(path, payload)
 
 
 def load_documents(path: PathLike) -> List[Document]:
@@ -306,12 +321,48 @@ def _decode_index_v1(payload: dict) -> InvertedIndex:
     return index.commit()
 
 
+def decode_posting_columns(payload: dict, segment_size: int):
+    """Decode the v2/v3 JSON posting columns → ``(content, predicates)``.
+
+    One decoder for flat index files and legacy JSON lifecycle segments.
+    A v3 content entry is ``[ids, tfs, max_tf, block maxima]``, adopted
+    wholesale; v2 stops after ``max_tf`` (flat files) or after ``tfs``
+    (segments), and freeze recomputes what is missing.  Malformed
+    entries raise ``KeyError``/``TypeError``/``ValueError`` for the
+    caller to name its artefact.
+    """
+    content = {}
+    for term, (ids, tfs, *stored) in payload["content"].items():
+        if len(stored) > 2:
+            raise ValueError(f"posting entry {term!r} has extra fields")
+        max_tf, blocks = (*stored, None, None)[:2]
+        content[term] = PostingList.from_arrays(
+            term,
+            decode_column(ids),
+            decode_column(tfs),
+            segment_size=segment_size,
+            validate=False,
+            max_tf=max_tf,
+            block_max_tfs=None if blocks is None else decode_column(blocks),
+        )
+    predicates = {}
+    for term, packed in payload["predicates"].items():
+        ids = decode_column(packed)
+        predicates[term] = PostingList.from_arrays(
+            term,
+            ids,
+            array("q", [1]) * len(ids),
+            segment_size=segment_size,
+            validate=False,
+            max_tf=1 if ids else 0,
+            block_max_tfs=array("q", [1]) * -(-len(ids) // segment_size),
+        )
+    return content, predicates
+
+
 def _decode_index(payload: dict, version: int = FORMAT_VERSION) -> InvertedIndex:
     if version == 1:
         return _decode_index_v1(payload)
-    from .index.documents import StoredDocument
-    from .index.postings import PostingList
-
     segment_size = payload["segment_size"]
     try:
         documents = [
@@ -324,46 +375,7 @@ def _decode_index(payload: dict, version: int = FORMAT_VERSION) -> InvertedIndex
             )
             for internal_id, entry in enumerate(payload["documents"])
         ]
-        content = {}
-        if version >= 3:
-            # v3: the per-block max-tf column is persisted next to the
-            # packed docid/tf columns and adopted wholesale.
-            for term, (ids, tfs, max_tf, blocks) in payload["content"].items():
-                content[term] = PostingList.from_arrays(
-                    term,
-                    decode_column(ids),
-                    decode_column(tfs),
-                    segment_size=segment_size,
-                    validate=False,
-                    max_tf=max_tf,
-                    block_max_tfs=decode_column(blocks),
-                )
-        else:
-            # v2 legacy: no block metadata on disk — freeze recomputes
-            # the per-block maxima from the tf column.
-            for term, (ids, tfs, max_tf) in payload["content"].items():
-                content[term] = PostingList.from_arrays(
-                    term,
-                    decode_column(ids),
-                    decode_column(tfs),
-                    segment_size=segment_size,
-                    validate=False,
-                    max_tf=max_tf,
-                )
-        predicates = {}
-        for term, packed in payload["predicates"].items():
-            ids = decode_column(packed)
-            ones = array("q", [1]) * len(ids)
-            num_segments = -(-len(ids) // segment_size)
-            predicates[term] = PostingList.from_arrays(
-                term,
-                ids,
-                ones,
-                segment_size=segment_size,
-                validate=False,
-                max_tf=1 if ids else 0,
-                block_max_tfs=array("q", [1]) * num_segments,
-            )
+        content, predicates = decode_posting_columns(payload, segment_size)
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed index payload: {exc!r}") from None
     return InvertedIndex.from_compiled(
@@ -412,9 +424,7 @@ def save_index(
         raise StorageError(
             f"cannot write index format {format!r} (writable formats: 3, 4)"
         )
-    payload = _encode_index(index)
-    with _open_write(path) as handle:
-        json.dump(payload, handle)
+    _write_payload(path, _encode_index(index))
 
 
 def _index_from_block_reader(reader: "blockstore.BlockFile") -> InvertedIndex:
@@ -517,8 +527,7 @@ def save_sharded_index(
         else:
             payload = _encode_index(shard.index)
             payload["global_ids"] = list(shard.global_ids)
-            with _open_write(path.parent / shard_name) as handle:
-                json.dump(payload, handle)
+            _write_payload(path.parent / shard_name, payload)
         shard_entries.append(
             {"file": shard_name, "num_docs": shard.index.num_docs}
         )
@@ -531,8 +540,7 @@ def save_sharded_index(
         },
         "shards": shard_entries,
     }
-    with _open_write(path) as handle:
-        json.dump(manifest, handle)
+    _write_payload(path, manifest)
 
 
 def _load_shard_file(shard_path: Path):
@@ -707,8 +715,7 @@ def save_catalog(
     }
     if selection is not None:
         payload["selection"] = dict(selection)
-    with _open_write(path) as handle:
-        json.dump(payload, handle)
+    _write_payload(path, payload)
 
 
 def load_catalog(path: PathLike) -> ViewCatalog:

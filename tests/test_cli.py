@@ -162,6 +162,47 @@ class TestShardedPipeline:
         assert "documents: 800" in out
 
 
+class TestLifecyclePipeline:
+    """ingest → compact → info → search over a segmented index directory."""
+
+    def test_round_trip(self, artefacts, tmp_path, capsys):
+        import json
+
+        from repro.storage import load_documents, save_documents
+
+        documents = load_documents(artefacts["corpus"])
+        halves = [tmp_path / "a.json.gz", tmp_path / "b.json.gz"]
+        save_documents(documents[:400], halves[0])
+        save_documents(documents[400:], halves[1])
+        directory = str(tmp_path / "idx.d")
+        for half in halves:
+            assert main([
+                "ingest", "--index", directory, "--corpus", str(half),
+                "--flush",
+            ]) == 0
+        assert main(["compact", "--index", directory, "--full"]) == 0
+        capsys.readouterr()
+        assert main(["info", "--index", directory]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["live_docs"] == 800
+        assert info["storage"]["codec"] == "block-v4"
+        assert [f["format"] for f in info["storage"]["files"]] == [4]
+        document = documents[0]
+        term = document.fields["title"].split()[0].lower()
+        predicate = document.fields["mesh"].split()[0]
+        assert main([
+            "search", f"{term} | {predicate}", "--index", directory,
+        ]) == 0
+        assert "context-sensitive results" in capsys.readouterr().out
+
+    def test_only_v4_segments_are_writable(self, tmp_path):
+        from repro.lifecycle import SegmentedIndex
+        from repro.storage import StorageError
+
+        with pytest.raises(StorageError, match="format 3"):
+            SegmentedIndex.open(tmp_path / "idx.d", storage_format=3)
+
+
 class TestServing:
     """The serve/bench-serve commands and the load generator."""
 

@@ -592,6 +592,138 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------------
+# Legacy JSON segments: sealed by older builds, still loaded
+
+
+def exact_rankings(engine, queries=QUERIES):
+    """Every (query, mode) outcome with unrounded scores."""
+    outcomes = []
+    for query in queries:
+        for search in (
+            engine.search,
+            engine.search_conventional,
+            engine.search_disjunctive,
+        ):
+            try:
+                hits = search(query).hits
+                outcomes.append([(h.external_id, h.score) for h in hits])
+            except QueryError as exc:
+                outcomes.append(type(exc))
+    return outcomes
+
+
+class TestLegacyJsonSegments:
+    """No writer emits v2/v3 JSON segments any more, so these tests seal
+    them by hand (as ``TestFormatVersions._v1_payload`` does for flat
+    files) and check they load, rank and compact like v4 segments."""
+
+    @staticmethod
+    def _payload(segment, version: int) -> dict:
+        from repro.storage import encode_column
+
+        content = {}
+        for term, plist in segment.content.items():
+            ids, tfs = plist.columns()
+            column = [encode_column(ids), encode_column(tfs)]
+            if version == 3:
+                column += [plist.max_tf, encode_column(plist.block_max_tfs)]
+            content[term] = column
+        return {
+            "kind": "segment",
+            "version": version,
+            "segment_id": segment.segment_id,
+            "documents": [
+                {
+                    "internal_id": doc.internal_id,
+                    "external_id": doc.external_id,
+                    "field_tokens": {
+                        name: list(tokens)
+                        for name, tokens in doc.field_tokens.items()
+                    },
+                    "length": doc.length,
+                    "unique_terms": doc.unique_terms,
+                }
+                for doc in segment.documents
+            ],
+            "content": content,
+            "predicates": {
+                term: encode_column(plist.columns()[0])
+                for term, plist in segment.predicates.items()
+            },
+        }
+
+    @pytest.fixture
+    def v4_dir(self, tmp_path):
+        directory = tmp_path / "v4"
+        index = SegmentedIndex.open(directory)
+        index.add_documents(DOCS[:8])
+        index.flush()
+        index.add_documents(DOCS[8:15])
+        index.delete_documents(["D3", "D9"])
+        index.flush()
+        index.add_documents(DOCS[15:])  # left in the WAL, unflushed
+        index.close()
+        return directory
+
+    def _legacy_copy(self, v4_dir, target, version, corrupt=None):
+        """Copy ``v4_dir`` with every segment rewritten as a JSON payload
+        of ``version``; ``corrupt(payload)`` may damage the first one."""
+        import gzip
+        import shutil
+
+        shutil.copytree(v4_dir, target)
+        manifest_path = target / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["version"] = version
+        with SegmentedIndex.open(v4_dir) as source:
+            segments = {s.segment_id: s for s in source._segments}
+            for position, entry in enumerate(manifest["segments"]):
+                payload = self._payload(segments[entry["segment_id"]], version)
+                if corrupt is not None and position == 0:
+                    corrupt(payload)
+                (target / entry["file"]).unlink()
+                entry["file"] = f"segments/{entry['segment_id']}.json.gz"
+                with gzip.open(target / entry["file"], "wt") as handle:
+                    json.dump(payload, handle)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        return target
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_rankings_bit_identical_to_v4(self, v4_dir, tmp_path, version):
+        legacy_dir = self._legacy_copy(v4_dir, tmp_path / "legacy", version)
+        assert not list((legacy_dir / "segments").glob("*.seg"))
+        with LifecycleEngine(SegmentedIndex.open(v4_dir)) as engine:
+            expected = exact_rankings(engine)
+        with LifecycleEngine(SegmentedIndex.open(legacy_dir)) as engine:
+            assert exact_rankings(engine) == expected
+            assert_equivalent(engine, live(DOCS, {"D3", "D9"}))
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_full_compaction_rewrites_as_v4(self, v4_dir, tmp_path, version):
+        legacy_dir = self._legacy_copy(v4_dir, tmp_path / "legacy", version)
+        with LifecycleEngine(SegmentedIndex.open(v4_dir)) as engine:
+            expected = exact_rankings(engine)
+        with SegmentedIndex.open(legacy_dir) as index:
+            index.compact(full=True)
+        files = list((legacy_dir / "segments").iterdir())
+        assert len(files) == 1 and files[0].suffix == ".seg"
+        with LifecycleEngine(SegmentedIndex.open(legacy_dir)) as engine:
+            assert exact_rankings(engine) == expected
+
+    def test_malformed_entry_names_the_file(self, v4_dir, tmp_path):
+        def corrupt(payload):
+            term = next(iter(payload["content"]))
+            payload["content"][term] = [[0, 1]]
+
+        legacy_dir = self._legacy_copy(
+            v4_dir, tmp_path / "legacy", 3, corrupt=corrupt
+        )
+        with pytest.raises(StorageError, match="malformed segment") as info:
+            SegmentedIndex.open(legacy_dir)
+        assert "seg-000000.json.gz" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # The single-epoch contract: every cache reads one version counter
 
 

@@ -122,6 +122,19 @@ class TestCatalogRoundTrip:
         assert b.report.resolution.path == "views"
         assert a.external_ids() == b.external_ids()
 
+    @pytest.mark.parametrize("name", ["catalog.json", "catalog.json.gz"])
+    def test_failed_save_keeps_previous_artefact(
+        self, tmp_path, selected, name
+    ):
+        path = tmp_path / name
+        save_catalog(selected, path, generation=3)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_catalog(selected, path, selection={"x": object()})
+        assert path.read_bytes() == before
+        assert len(load_catalog(path)) == len(selected)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
 
 class TestFormatVersions:
     """Format-version 3 persists precompiled postings plus block-max
