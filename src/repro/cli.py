@@ -21,8 +21,9 @@ path)::
 ``search`` accepts ``--conventional`` for the baseline ranking,
 ``--disjunctive`` for OR-semantics top-k, and ``--model`` to pick the
 ranking function.  ``batch`` evaluates a whole query file (one query
-per line) through the :class:`~repro.core.engine.BatchExecutor`,
-sharing context materialisations and posting columns across queries::
+per line) through the engine's ``search_many`` — for a flat index, the
+:class:`~repro.core.engine.BatchExecutor`, sharing context
+materialisations and posting columns across queries::
 
     python -m repro batch --index index.json.gz --queries workload.txt
 
@@ -89,7 +90,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .core.engine import BatchExecutor, ContextSearchEngine
+from .core.engine import ContextSearchEngine
 from .errors import ReproError
 from .core.ranking import ALL_RANKING_FUNCTIONS
 from .core.sharded_engine import ShardedEngine
@@ -225,14 +226,6 @@ def _load_engine(args: argparse.Namespace):
     return ContextSearchEngine(index, ranking=ranking, catalog=catalog), True
 
 
-def _engine_label(engine) -> str:
-    if hasattr(engine, "lifecycle_info"):
-        return "lifecycle"
-    if hasattr(engine, "sharded_index"):
-        return "sharded"
-    return "flat"
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     engine, needs_close = _load_engine(args)
 
@@ -261,7 +254,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     extra = (
         f" shards={engine.sharded_index.num_shards}"
         f" executor={engine.executor_name}"
-        if hasattr(engine, "sharded_index")
+        if engine.kind == "sharded"
         else ""
     )
     print(
@@ -342,13 +335,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"no queries in {args.queries}", file=sys.stderr)
         return 1
 
-    if hasattr(engine, "search_many"):
-        # The sharded and lifecycle engines run their own batch fan-out;
-        # the thread-pool BatchExecutor is the flat-index path.
-        report = engine.search_many(queries, top_k=args.top_k, mode=args.mode)
-    else:
-        executor = BatchExecutor(engine, max_workers=args.workers)
-        report = executor.run(queries, top_k=args.top_k, mode=args.mode)
+    report = engine.search_many(
+        queries, top_k=args.top_k, mode=args.mode, max_workers=args.workers
+    )
     if needs_close:
         engine.close()
 
@@ -672,15 +661,13 @@ def _restore_workload_state(args: argparse.Namespace, recorder) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the query service in the foreground until interrupted."""
-    import asyncio
-
     from .service import QueryServer, WorkloadRecorder, save_workload_state
 
     _check_adaptive_args(args)
     engine, needs_close = _load_engine(args)
     controller = reference = recorder = None
     try:
-        if args.save_catalog and not hasattr(engine, "catalog"):
+        if args.save_catalog and engine.kind == "sharded":
             raise ReproError(
                 "--save-catalog needs an engine with a single-collection "
                 "catalog (flat or lifecycle, not sharded)"
@@ -702,32 +689,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 server.service.recorder = recorder
             _restore_workload_state(args, recorder)
 
-        async def run() -> None:
-            host, port = await server.start()
-            adaptive_note = (
-                f", adaptive every {controller.config.interval_seconds:g}s"
-                if controller is not None
-                else ""
-            )
-            print(f"serving on {host}:{port} "
-                  f"({_engine_label(engine)} engine, "
-                  f"workers={server.config.effective_workers()}, "
-                  f"max_batch={server.config.max_batch}, "
-                  f"max_pending={server.config.max_pending}"
-                  f"{adaptive_note})")
-            if controller is not None:
-                controller.start()
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await server.stop()
-
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            print("shutting down")
+        _serve_until_interrupted(
+            server,
+            "serving on {host}:{port} "
+            f"({engine.kind} engine, "
+            f"workers={server.config.effective_workers()}, "
+            f"max_batch={server.config.max_batch}, "
+            f"max_pending={server.config.max_pending}"
+            f"{_adaptive_note(controller)})",
+            controller,
+        )
         if args.save_catalog:
             _save_adaptive_catalog(args, engine, controller)
         if args.workload_state and recorder is not None:
@@ -747,13 +718,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_until_interrupted(server, banner: str) -> None:
-    """Start ``server``, print the bound address, run until Ctrl-C."""
+def _adaptive_note(controller) -> str:
+    if controller is None:
+        return ""
+    return f", adaptive every {controller.config.interval_seconds:g}s"
+
+
+def _serve_until_interrupted(server, banner: str, controller=None) -> None:
+    """Start ``server``, print the bound address, run until Ctrl-C.
+
+    ``controller`` (an adaptive-selection controller) starts only after
+    the bind: it bridges ``install_catalog`` onto the serving loop, which
+    the server captures when it starts.
+    """
     import asyncio
 
     async def run() -> None:
         host, port = await server.start()
         print(banner.format(host=host, port=port))
+        if controller is not None:
+            controller.start()
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -822,8 +806,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     router's catalog generation, so the whole cluster reports one
     version vector.
     """
-    import asyncio
-
     from .service import QueryServer, load_cluster_config
     from .service.cluster import router_service_factory
 
@@ -845,33 +827,13 @@ def _cmd_route(args: argparse.Namespace) -> int:
             server.service.adaptive = controller
             server.service._predicate_analyzer = reference.predicate_analyzer
 
-        async def run() -> None:
-            host, port = await server.start()
-            adaptive_note = (
-                f", adaptive every {controller.config.interval_seconds:g}s"
-                if controller is not None
-                else ""
-            )
-            print(
-                f"routing {cluster.num_shards} shards x "
-                f"{cluster.replication} replicas ({ranking.name}) "
-                f"on {host}:{port}{adaptive_note}"
-            )
-            # The controller bridges install_catalog onto the serving
-            # loop; start it only once the server has captured it.
-            if controller is not None:
-                controller.start()
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await server.stop()
-
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            print("shutting down")
+        _serve_until_interrupted(
+            server,
+            f"routing {cluster.num_shards} shards x "
+            f"{cluster.replication} replicas ({ranking.name}) "
+            "on {host}:{port}" + _adaptive_note(controller),
+            controller,
+        )
     finally:
         if controller is not None:
             controller.stop()

@@ -54,15 +54,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
-
-try:  # Protocol is typing-only; keep the import soft for any odd runtime.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - Python < 3.8
-    Protocol = object  # type: ignore
-
-    def runtime_checkable(cls):  # type: ignore
-        return cls
+from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 __all__ = [
     "SearchBackend",
@@ -238,10 +230,14 @@ class SearchBackend(Protocol):
       after the swap;
     * ``close()`` releases resources idempotently.
 
-    Query entry points (``search`` / ``search_conventional`` /
-    ``search_disjunctive`` or the service-level ``query`` op for remote
-    shapes) are part of the contract behaviourally but not structurally
-    — the router answers over the wire, not through local methods.
+    What the in-process shapes (flat, sharded, lifecycle) share beyond
+    that is the surface the serving tier and the CLI call without
+    probing: ``search_many(queries, top_k, mode, path, max_workers)`` is
+    the one batch entry point, ``kind`` names the shape (``"flat"``,
+    ``"sharded"`` or ``"lifecycle"``) and ``version`` is the coherence
+    token.  The router answers over the wire (the ``query`` op), not
+    through a local ``search_many``, so the protocol holds only what all
+    four share.
     """
 
     @property

@@ -98,6 +98,9 @@ class ContextSearchEngine:
     the public API and assembles each query's report.
     """
 
+    # The engine shape, as healthz and the CLI report it.
+    kind = "flat"
+
     def __init__(
         self,
         index: InvertedIndex,
@@ -236,6 +239,21 @@ class ContextSearchEngine:
                 block_max=block_max,
             )
         return self.search(query, top_k=top_k, path=path)
+
+    def search_many(
+        self,
+        queries: Iterable[Union[ContextQuery, str]],
+        top_k: Optional[int] = None,
+        mode: str = MODE_CONTEXT,
+        path: str = PATH_AUTO,
+        max_workers: Optional[int] = None,
+    ) -> "BatchReport":
+        """Evaluate a workload as one batch (the engine-wide batch entry
+        point): a :class:`BatchExecutor` with ``max_workers`` threads,
+        sharing context materialisations and posting columns."""
+        return BatchExecutor(self, max_workers=max_workers).run(
+            queries, top_k=top_k, mode=mode, path=path
+        )
 
     def _search_impl(
         self,

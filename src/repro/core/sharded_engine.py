@@ -1101,6 +1101,9 @@ class ShardedEngine:
     :meth:`close` (or use as a context manager) to release worker pools.
     """
 
+    # The engine shape, as healthz and the CLI report it.
+    kind = "sharded"
+
     def __init__(
         self,
         sharded_index: ShardedInvertedIndex,
@@ -1290,7 +1293,7 @@ class ShardedEngine:
         top_k: Optional[int] = None,
         mode: str = "context",
         path: str = PATH_AUTO,
-        block_max: bool = True,
+        max_workers: Optional[int] = None,
     ) -> BatchReport:
         """Evaluate a workload with one scatter-gather round per phase.
 
@@ -1299,12 +1302,15 @@ class ShardedEngine:
         not 2·B, so per-task overhead amortises across the workload.
         Outcomes come back in input order; per-query failures (empty
         context, stopword-only keywords, …) are recorded, never raised.
+        ``max_workers`` is accepted for the shared batch signature and
+        ignored: the fan-out is the shard backend's, fixed at
+        construction.
         """
         if mode not in ("context", "conventional", "disjunctive"):
             raise QueryError(f"unknown batch mode: {mode!r}")
         queries = list(queries)
         started = time.perf_counter()
-        results = self._execute_batch(queries, top_k, mode, path, block_max)
+        results = self._execute_batch(queries, top_k, mode, path)
         elapsed = time.perf_counter() - started
         outcomes = []
         for query, result in zip(queries, results):

@@ -13,8 +13,7 @@ document ingestion — :meth:`CachingSearchEngine.invalidate` exists for
 exactly the :func:`repro.views.maintenance.maintain_catalog` call sites.
 
 Freshness is additionally guarded by the engine's
-:class:`~repro.core.backend.VersionVector` (falling back to the bare
-``epoch`` for wrappers that predate it): any index mutation or catalog
+:class:`~repro.core.backend.VersionVector`: any index mutation or catalog
 swap moves the vector, and :meth:`CachingSearchEngine._check_epoch`
 self-invalidates on the next lookup, so a forgotten explicit
 ``invalidate()`` can narrow freshness but never corrupt it.  One
@@ -27,6 +26,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.backend import VersionVector
+from ..core.engine import BatchExecutor, BatchReport
 from ..core.query import ContextQuery
 from ..core.statistics import StatisticSpec
 
@@ -133,20 +134,14 @@ class CachingSearchEngine:
     resolves.  Rankings are bit-identical to the uncached engine.
     """
 
+    # Serves as the flat engine it wraps.
+    kind = "flat"
+
     def __init__(self, engine, max_contexts: int = 128):
         self.engine = engine
         self.cache = StatisticsCache(max_contexts=max_contexts)
-        self._seen_epoch = self._coherence_token()
+        self._seen_version = engine.version
         self._wrap()
-
-    def _coherence_token(self):
-        """The engine's full :class:`~repro.core.backend.VersionVector`
-        when it exposes one (so catalog swaps invalidate too), else its
-        bare epoch.  Opaque — only compared with ``!=``."""
-        version = getattr(self.engine, "version", None)
-        if version is not None:
-            return version
-        return getattr(self.engine, "epoch", 0)
 
     def _check_epoch(self) -> None:
         """Self-invalidate when the index has mutated underneath us.
@@ -156,9 +151,9 @@ class CachingSearchEngine:
         even when the mutating path forgot to call :meth:`invalidate`
         explicitly.
         """
-        token = self._coherence_token()
-        if token != self._seen_epoch:
-            self._seen_epoch = token
+        version = self.engine.version
+        if version != self._seen_version:
+            self._seen_version = version
             self.cache.invalidate()
 
     def _wrap(self) -> None:
@@ -201,7 +196,11 @@ class CachingSearchEngine:
 
     @property
     def epoch(self) -> int:
-        return getattr(self.engine, "epoch", 0)
+        return self.engine.epoch
+
+    @property
+    def version(self) -> VersionVector:
+        return self.engine.version
 
     def search(self, query, top_k: Optional[int] = None, path: str = "auto"):
         return self.engine.search(query, top_k=top_k, path=path)
@@ -211,6 +210,20 @@ class CachingSearchEngine:
 
     def search_disjunctive(self, query, top_k: int = 10, path: str = "auto"):
         return self.engine.search_disjunctive(query, top_k=top_k, path=path)
+
+    def search_many(
+        self,
+        queries,
+        top_k: Optional[int] = None,
+        mode: str = "context",
+        path: str = "auto",
+        max_workers: Optional[int] = None,
+    ) -> BatchReport:
+        """Batch evaluation over the cached engine: prefetch and thread
+        fan-out, each query resolving its statistics through the cache."""
+        return BatchExecutor(self, max_workers=max_workers).run(
+            queries, top_k=top_k, mode=mode, path=path
+        )
 
     def invalidate(self) -> None:
         """Forward to the cache; call after ``append_documents`` — or let

@@ -125,7 +125,7 @@ def run_quality_comparison_batched(
     k: int = 20,
     max_workers: Optional[int] = None,
 ) -> QualityComparison:
-    """:func:`run_quality_comparison` through the :class:`BatchExecutor`.
+    """:func:`run_quality_comparison` through ``engine.search_many``.
 
     Both ranking arms run as batches (context-sensitive first, then the
     conventional baseline), sharing context materialisations and decoded
@@ -135,12 +135,11 @@ def run_quality_comparison_batched(
     whose query fails under either arm is scored on empty rankings, same
     as a query returning nothing.
     """
-    from ..core.engine import BatchExecutor
-
-    executor = BatchExecutor(engine, max_workers=max_workers)
     queries = [topic.query for topic in benchmark.topics]
-    context_report = executor.run(queries, mode="context")
-    conventional_report = executor.run(queries, mode="conventional")
+    context_report = engine.search_many(queries, max_workers=max_workers)
+    conventional_report = engine.search_many(
+        queries, mode="conventional", max_workers=max_workers
+    )
 
     comparison = QualityComparison(k=k)
     for topic, ctx, conv in zip(

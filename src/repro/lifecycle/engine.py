@@ -32,7 +32,7 @@ import threading
 from typing import Iterable, List, Optional, Sequence, Union
 
 from ..core.backend import VersionAuthority, VersionVector
-from ..core.engine import BatchExecutor, BatchReport, ContextSearchEngine, SearchResults
+from ..core.engine import BatchReport, ContextSearchEngine, SearchResults
 from ..core.ranking import RankingFunction
 from ..errors import IndexError_
 from ..index.documents import Document, StoredDocument
@@ -44,6 +44,9 @@ __all__ = ["LifecycleEngine"]
 
 class LifecycleEngine:
     """Always-fresh query engine over a :class:`SegmentedIndex`."""
+
+    # The engine shape, as healthz and the CLI report it.
+    kind = "lifecycle"
 
     def __init__(
         self,
@@ -234,7 +237,7 @@ class LifecycleEngine:
                 )
             self._engine = engine
             self._engine_version = snapshot.version
-        if old is not None and hasattr(old, "close"):
+        if old is not None:
             old.close()
         return engine
 
@@ -264,7 +267,7 @@ class LifecycleEngine:
     def close(self) -> None:
         """Retire the current engine and release the WAL handle."""
         with self._lock:
-            if self._engine is not None and hasattr(self._engine, "close"):
+            if self._engine is not None:
                 self._engine.close()
             self._engine = None
             self._engine_version = None
@@ -311,17 +314,13 @@ class LifecycleEngine:
         top_k: Optional[int] = None,
         mode: str = "context",
         path: str = "auto",
+        max_workers: Optional[int] = None,
     ) -> BatchReport:
-        """Batch evaluation — the query service's entry point.
-
-        Sharded engines batch natively; a flat engine goes through
-        :class:`~repro.core.engine.BatchExecutor` (shared context
-        materialisations + prefetch), all against one snapshot.
-        """
-        engine = self.current_engine()
-        if hasattr(engine, "search_many"):
-            return engine.search_many(queries, top_k=top_k, mode=mode, path=path)
-        return BatchExecutor(engine).run(queries, top_k=top_k, mode=mode, path=path)
+        """Batch evaluation against one snapshot, through the current
+        engine's own ``search_many``."""
+        return self.current_engine().search_many(
+            queries, top_k=top_k, mode=mode, path=path, max_workers=max_workers
+        )
 
     def context_statistics(self, context, keywords: Sequence[str] = ()):
         """Ground-truth context statistics, resolved segment by segment.

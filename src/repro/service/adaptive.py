@@ -217,14 +217,8 @@ class AdaptiveSelectionController:
             "coverage_threshold": self.config.coverage_threshold,
             "growth_threshold": self.config.growth_threshold,
             "reselections": self.reselections,
-            "catalog_generation": getattr(
-                self.engine, "catalog_generation", 0
-            ),
-            "version_vector": (
-                self.engine.version.to_dict()
-                if hasattr(self.engine, "version")
-                else None
-            ),
+            "catalog_generation": self.engine.catalog_generation,
+            "version_vector": self.engine.version.to_dict(),
             "last_reselection": (
                 self.last_report.to_dict() if self.last_report else None
             ),
@@ -270,7 +264,7 @@ class AdaptiveSelectionController:
         return self.engine.install_catalog(catalog, info=report.to_dict())
 
     def _selection_index(self):
-        if hasattr(self.engine, "lifecycle_info"):
+        if self.engine.kind == "lifecycle":
             # A lifecycle snapshot is the committed, index-shaped read
             # view selection can scan.
             return self.engine.index.snapshot()

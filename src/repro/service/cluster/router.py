@@ -426,6 +426,8 @@ class RouterService(QueryService):
     # the router holds no local index at all.
     supports_hot_swap = True
     needs_reference_index = True
+    # The shape healthz reports (and the adaptive controller reads).
+    kind = "router"
 
     def __init__(
         self,
@@ -945,7 +947,7 @@ class RouterService(QueryService):
                 STATUS_OK if available == len(self.groups) else "degraded"
             ),
             "version": __version__,
-            "engine": "router",
+            "engine": self.kind,
             "num_shards": self.cluster.num_shards,
             "replication": self.cluster.replication,
             "num_docs": total_docs if docs_known else None,

@@ -28,14 +28,12 @@ Request lifecycle (one ``op: query`` line)::
                                                 error / shed: respond as such
 
 The batch runner is the only tier-specific step.  Here it is the
-engines' existing synchronous machinery —
-:class:`~repro.core.engine.BatchExecutor` for a flat engine (shared
-context materialisations, prefetch, thread fan-out) or
-:meth:`~repro.core.sharded_engine.ShardedEngine.search_many` for a
-sharded one (two scatter-gather dispatches per batch) — driven off the
-event loop on a worker pool; the cluster router overrides it to scatter
-to shard workers.  The event loop only ever parses, admits, coalesces,
-and serialises.
+engine's one synchronous batch entry point, ``search_many`` (shared
+context materialisations, prefetch and thread fan-out for a flat
+engine; two scatter-gather dispatches per batch for a sharded one),
+driven off the event loop on a worker pool; the cluster router
+overrides it to scatter to shard workers.  The event loop only ever
+parses, admits, coalesces, and serialises.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from typing import Optional, Sequence, Tuple
 
 from .. import __version__
 from ..core.backend import VersionVector
-from ..core.engine import BatchExecutor
 from ..errors import QueryError, ReproError
 from .admission import AdmissionController, Ticket
 from .coalescer import Coalescer
@@ -148,10 +145,6 @@ class QueryService:
     ):
         self.engine = engine
         self.config = config if config is not None else ServiceConfig()
-        # Duck-typed engine split: anything with search_many runs its own
-        # batch fan-out (the sharded engine); everything else goes
-        # through BatchExecutor (plain or wrapped flat engines).
-        self._sharded = hasattr(engine, "search_many")
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         # Adaptive selection attachments (optional; wired by the CLI's
         # ``serve --adaptive`` or by tests): served queries fold into the
@@ -180,24 +173,17 @@ class QueryService:
 
     @property
     def epoch(self) -> int:
-        return getattr(self.engine, "epoch", 0)
+        return self.version.epoch
 
     @property
     def catalog_generation(self) -> int:
         """How many catalog hot-swaps the engine has seen."""
-        return getattr(self.engine, "catalog_generation", 0)
+        return self.version.catalog_generation
 
     @property
     def version(self) -> VersionVector:
-        """The backend's :class:`~repro.core.backend.VersionVector` —
-        constructed from the epoch/generation pair for engine wrappers
-        that predate the unified contract."""
-        version = getattr(self.engine, "version", None)
-        if isinstance(version, VersionVector):
-            return version
-        return VersionVector(
-            epoch=self.epoch, catalog_generation=self.catalog_generation
-        )
+        """The backend's :class:`~repro.core.backend.VersionVector`."""
+        return self.engine.version
 
     def _cache_epoch(self) -> VersionVector:
         """The result cache's staleness guard: the full version vector.
@@ -300,7 +286,7 @@ class QueryService:
         payload = {
             "status": STATUS_OK,
             "version": __version__,
-            "engine": "sharded" if self._sharded else "flat",
+            "engine": self.engine.kind,
             "num_docs": getattr(index, "num_docs", None),
             "epoch": self.epoch,
             "catalog_generation": self.catalog_generation,
@@ -310,10 +296,8 @@ class QueryService:
         # Lifecycle engines report their segment/WAL/version state so an
         # operator can see compaction debt and recovery position from
         # the health endpoint alone.
-        lifecycle_info = getattr(self.engine, "lifecycle_info", None)
-        if callable(lifecycle_info):
-            payload["engine"] = "lifecycle"
-            payload["lifecycle"] = lifecycle_info()
+        if self.engine.kind == "lifecycle":
+            payload["lifecycle"] = self.engine.lifecycle_info()
         if self.adaptive is not None:
             payload["adaptive"] = self.adaptive.info()
         return payload
@@ -524,14 +508,10 @@ class QueryService:
         if not live:
             return out
         queries = [tickets[i].request.query for i in live]
-        if self._sharded:
-            report = self.engine.search_many(
-                queries, top_k=top_k, mode=mode, path=path
-            )
-        else:
-            report = BatchExecutor(
-                self.engine, max_workers=self.config.effective_workers()
-            ).run(queries, top_k=top_k, mode=mode, path=path)
+        report = self.engine.search_many(
+            queries, top_k=top_k, mode=mode, path=path,
+            max_workers=self.config.effective_workers(),
+        )
         for slot, outcome in zip(live, report.outcomes):
             out[slot] = (
                 ok_outcome(mode, outcome.results)

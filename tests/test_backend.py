@@ -7,18 +7,21 @@ Every engine in the repo — flat :class:`ContextSearchEngine`, in-process
 property, an ``install_catalog`` entry point that bumps exactly the
 vector's catalog component and never changes a ranking, and an
 idempotent ``close``.  This suite runs the identical checklist against
-all four, plus unit coverage for the coherence primitives themselves
+all four, the shared batch contract (``search_many``, ``kind``,
+``version``) against every in-process shape, plus unit coverage for the coherence primitives themselves
 (:class:`VersionClock`, :class:`VersionVector`,
 :class:`VersionAuthority`) and the deprecated swap shims.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
 
 from repro import (
+    CachingSearchEngine,
     ContextSearchEngine,
     IncrementalReselector,
     ShardedEngine,
@@ -35,7 +38,8 @@ from repro.core.backend import (
 )
 from repro.lifecycle import LifecycleEngine, SegmentedIndex
 from repro.selection.workload_driven import WorkloadEntry
-from repro.service import ServiceClient
+from repro.service import QueryService, ServiceClient
+from repro.service.protocol import Request
 from repro.views import WideSparseTable
 
 from .conftest import HANDMADE_DOCS
@@ -276,3 +280,84 @@ class TestClusterConformance:
             finally:
                 client.close()
                 reference.close()
+
+
+# ---------------------------------------------------------------------------
+# The batch contract, once for every in-process shape
+
+
+def _lifecycle(num_shards):
+    engine = LifecycleEngine(SegmentedIndex(), num_shards=num_shards)
+    engine.ingest(HANDMADE_DOCS)
+    return engine, engine.close
+
+
+def _flat():
+    engine = ContextSearchEngine(build_index(HANDMADE_DOCS))
+    return engine, engine.close
+
+
+def _cached_flat():
+    inner = ContextSearchEngine(build_index(HANDMADE_DOCS))
+    return CachingSearchEngine(inner), inner.close
+
+
+def _sharded():
+    sharded = ShardedInvertedIndex.from_index(
+        build_index(HANDMADE_DOCS), 2, partitioner="hash"
+    )
+    engine = ShardedEngine(sharded, executor="serial")
+    return engine, engine.close
+
+
+@pytest.fixture(
+    params=[
+        ("flat", _flat, "flat"),
+        ("cached", _cached_flat, "flat"),
+        ("sharded", _sharded, "sharded"),
+        ("lifecycle", lambda: _lifecycle(0), "lifecycle"),
+        ("lifecycle-sharded", lambda: _lifecycle(2), "lifecycle"),
+    ],
+    ids=lambda param: param[0],
+)
+def batch_shape(request):
+    _name, build, kind = request.param
+    engine, close = build()
+    yield engine, kind
+    close()
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("mode", ["context", "conventional", "disjunctive"])
+    def test_search_many_matches_single_queries(self, batch_shape, mode):
+        engine, _kind = batch_shape
+        single = {
+            "context": engine.search,
+            "conventional": engine.search_conventional,
+            "disjunctive": engine.search_disjunctive,
+        }[mode]
+        expected = [(h.external_id, h.score) for h in single(QUERY).hits]
+        report = engine.search_many(
+            [QUERY, "no separator here", QUERY], mode=mode
+        )
+        assert [outcome.ok for outcome in report.outcomes] == [
+            True, False, True,
+        ]
+        assert report.outcomes[1].error.startswith("QueryError")
+        for slot in (0, 2):
+            hits = report.outcomes[slot].results.hits
+            assert [(h.external_id, h.score) for h in hits] == expected
+
+    def test_kind_is_the_healthz_label(self, batch_shape):
+        engine, kind = batch_shape
+        assert engine.kind == kind
+        assert isinstance(engine.version, VersionVector)
+        service = QueryService(engine)
+        try:
+            health = asyncio.run(
+                service.handle_request(Request(op="healthz"))
+            )
+        finally:
+            service.close()
+        assert health["engine"] == kind
+        assert health["version_vector"] == engine.version.to_dict()

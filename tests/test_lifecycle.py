@@ -948,6 +948,16 @@ class TestLifecycleServing:
         finally:
             service.close()
 
+    def test_search_many_honours_batch_width(self):
+        """The caller's ``max_workers`` reaches the flat per-snapshot
+        engine's batch executor (``batch --workers``, ``serve --workers``)."""
+        with LifecycleEngine(SegmentedIndex()) as engine:
+            engine.ingest(DOCS)
+            report = engine.search_many(QUERIES, max_workers=1)
+            assert report.workers == 1
+            assert all(outcome.ok for outcome in report.outcomes)
+            assert engine.search_many(QUERIES, max_workers=3).workers == 3
+
     def test_cached_serving_never_stale_after_mutations(self):
         """The serving cache hit path must go cold after every mutation:
         epoch stamps make stale entries unreachable."""

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro import ContextSearchEngine, Document, build_index
+from repro.core.backend import VersionVector
 from repro.core.report import CostCounter, ExecutionReport, ShardReport
 from repro.errors import QueryError, ReproError
 from repro.service import (
@@ -648,7 +649,9 @@ class TestQueryService(FrontEndCases):
         the request id, and counts as an error."""
 
         class BrokenEngine:
-            def search(self, query, **kwargs):
+            version = VersionVector()
+
+            def search_many(self, queries, **kwargs):
                 raise RuntimeError("engine bug")
 
         service = make_service(BrokenEngine(), cache_enabled=False)
