@@ -174,7 +174,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_engine(args: argparse.Namespace):
+def _load_engine(args: argparse.Namespace, max_workers: Optional[int] = None):
     """Build the right engine for ``--index``: flat, sharded, or lifecycle.
 
     A sharded artefact always gets the :class:`ShardedEngine`; a flat one
@@ -183,7 +183,8 @@ def _load_engine(args: argparse.Namespace):
     :class:`~repro.lifecycle.engine.LifecycleEngine` over the recovered
     index (``--shards N`` makes its per-snapshot engines sharded).  A
     persisted single-collection catalog is re-materialised per shard
-    (definitions replicate; tuples do not).
+    (definitions replicate; tuples do not).  ``max_workers`` caps a
+    sharded engine's shard fan-out.
 
     Returns ``(engine, needs_close)`` — engines owning worker pools or a
     WAL handle must be closed by the caller.
@@ -219,6 +220,7 @@ def _load_engine(args: argparse.Namespace):
             ranking=ranking,
             catalogs=catalogs,
             executor=args.executor,
+            max_workers=max_workers,
         )
         return engine, True
     # Flat engines own the loaded index's resources (a v4 artefact holds
@@ -327,7 +329,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    engine, needs_close = _load_engine(args)
+    engine, needs_close = _load_engine(args, max_workers=args.workers)
 
     with open(args.queries, "r", encoding="utf-8") as handle:
         queries = [line.strip() for line in handle if line.strip()]
@@ -1052,7 +1054,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("context", "conventional", "disjunctive"),
                    default="context")
     p.add_argument("--workers", type=int, default=None,
-                   help="thread-pool size (default: min(8, cpu count))")
+                   help="thread-pool size, or for a sharded index the shard "
+                        "fan-out (default: min(8, cpu count); one per shard)")
     _add_sharding_options(p)
     p.set_defaults(func=_cmd_batch)
 

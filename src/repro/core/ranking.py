@@ -16,13 +16,28 @@ Models provided:
 * :class:`DirichletLanguageModel` — query-likelihood with Dirichlet
   smoothing; consumes ``tc(w, ·)``, exercising the SUM-of-tf parameter
   columns and the paper's remark that small contexts make smoothing hard.
+
+Two ways to score.  :meth:`RankingFunction.score` is the reference: one
+call per document, every statistic looked up by term.  The engines score
+a whole candidate set through :meth:`RankingFunction.prepare` instead.
+``S_q`` and ``S_c`` are fixed for a query (Table 1), so ``prepare`` hoists
+everything that depends on them alone — idf, ``tq``, ``avgdl``, the
+background model ``p(w|C)`` — and returns a per-document scorer
+``score(length, tfs)`` that only sees ``len(d)`` and the tf of each
+query term in ``query_stats.term_counts`` order.  Its promise is exact
+equality, not closeness: for every document,
+``prepare(qs, cs)(d.length, tfs) == score(qs, d, cs)`` bit for bit,
+because the scorer performs the same float operations in the same order
+(``math.log``, the same association of products, the same summation from
+the same start).  A hoisted value is one the reference computes
+identically for every document.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from .statistics import (
     CollectionStatistics,
@@ -34,6 +49,11 @@ from .statistics import (
     tc_spec,
     total_length_spec,
 )
+
+
+# A prepared per-document scorer: ``(len(d), tfs) -> score`` with ``tfs``
+# in ``query_stats.term_counts`` order.
+DocumentScorer = Callable[[int, Sequence[int]], float]
 
 
 class RankingFunction(ABC):
@@ -49,6 +69,21 @@ class RankingFunction(ABC):
         collection_stats: CollectionStatistics,
     ) -> float:
         """Relevance score of one document; higher is more relevant."""
+
+    @abstractmethod
+    def prepare(
+        self,
+        query_stats: QueryStatistics,
+        collection_stats: CollectionStatistics,
+    ) -> DocumentScorer:
+        """A per-document scorer with the per-query constants hoisted.
+
+        ``prepare(qs, cs)(length, tfs)`` equals ``score(qs, d, cs)``
+        exactly (``==``) for a document ``d`` of ``length`` tokens whose
+        tf for each term of ``qs.term_counts``, in that order, is
+        ``tfs``.  Call it once per query and the scorer once per
+        candidate.
+        """
 
     @abstractmethod
     def required_collection_specs(
@@ -140,6 +175,37 @@ class PivotedNormalizationTFIDF(RankingFunction):
             for term in query_stats.term_counts
         )
 
+    def prepare(
+        self,
+        query_stats: QueryStatistics,
+        collection_stats: CollectionStatistics,
+    ) -> DocumentScorer:
+        log = math.log
+        cardinality = collection_stats.cardinality
+        # Per term ``(tq, idf_part)``; idf_part is None where df == 0,
+        # and such a term contributes 0.0, as in :meth:`term_score`.
+        weights = []
+        for term, tq in query_stats.term_counts.items():
+            df = collection_stats.df_for(term)
+            idf_part = log((cardinality + 1) / df) if df > 0 else None
+            weights.append((tq, idf_part))
+        base = 1.0 - self.slope
+        slope = self.slope
+        avgdl = _hoisted_avgdl(
+            collection_stats, any(idf is not None for _, idf in weights)
+        )
+
+        def score(length: int, tfs: Sequence[int]) -> float:
+            norm = base + slope * (length / avgdl)
+            return sum([
+                ((1.0 + log(1.0 + log(tf))) / norm) * tq * idf_part
+                if tf > 0 and idf_part is not None
+                else 0.0
+                for (tq, idf_part), tf in zip(weights, tfs)
+            ])
+
+        return score
+
     @property
     def decomposable(self) -> bool:
         return True
@@ -224,6 +290,41 @@ class BM25(RankingFunction):
             )
             for term in query_stats.term_counts
         )
+
+    def prepare(
+        self,
+        query_stats: QueryStatistics,
+        collection_stats: CollectionStatistics,
+    ) -> DocumentScorer:
+        n = collection_stats.cardinality
+        # Per term ``tq · idf`` (the reference's leading product); None
+        # where df == 0, and such a term contributes 0.0.
+        weights = []
+        for term, tq in query_stats.term_counts.items():
+            df = collection_stats.df_for(term)
+            weights.append(
+                tq * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                if df > 0
+                else None
+            )
+        k1 = self.k1
+        b = self.b
+        one_minus_b = 1.0 - b
+        k1_plus_1 = k1 + 1.0
+        avgdl = _hoisted_avgdl(
+            collection_stats, any(w is not None for w in weights)
+        )
+
+        def score(length: int, tfs: Sequence[int]) -> float:
+            length_norm = k1 * (one_minus_b + b * length / avgdl)
+            return sum([
+                tq_idf * (tf * k1_plus_1) / (tf + length_norm)
+                if tf > 0 and tq_idf is not None
+                else 0.0
+                for tq_idf, tf in zip(weights, tfs)
+            ])
+
+        return score
 
     @property
     def decomposable(self) -> bool:
@@ -318,6 +419,40 @@ class DirichletLanguageModel(RankingFunction):
                 - math.log(doc_stats.length + self.mu)
             )
         return total
+
+    def prepare(
+        self,
+        query_stats: QueryStatistics,
+        collection_stats: CollectionStatistics,
+    ) -> DocumentScorer:
+        log = math.log
+        mu = self.mu
+        epsilon = self._EPSILON
+        coll_len = max(collection_stats.total_length, 1)
+        # Per term ``(tq, μ·p(w|C))``.
+        weights = [
+            (tq, mu * max(collection_stats.tc_for(term) / coll_len, epsilon))
+            for term, tq in query_stats.term_counts.items()
+        ]
+
+        def score(length: int, tfs: Sequence[int]) -> float:
+            log_length = log(length + mu)
+            total = 0.0
+            for (tq, mu_background), tf in zip(weights, tfs):
+                total += tq * (log(tf + mu_background) - log_length)
+            return total
+
+        return score
+
+
+def _hoisted_avgdl(collection_stats: CollectionStatistics, read: bool) -> float:
+    """``avgdl`` as a prepared scorer hoists it.
+
+    The reference reads ``avgdl`` only for a term with df > 0.  When no
+    query term has one (``read`` is False) the value is never used, so
+    an empty collection must not raise there and 1.0 stands in.
+    """
+    return collection_stats.avgdl if read else 1.0
 
 
 DEFAULT_RANKING_FUNCTION = PivotedNormalizationTFIDF()

@@ -6,6 +6,21 @@ engine score through this module, so their rankings cannot drift apart:
 score a candidate set under resolved collection statistics, then order
 by ``(-score, id)``.
 
+A candidate set is scored as columns, following the paper's split of
+statistics by scope (Table 1).  ``S_q(Q)`` and ``S_c(D_P)`` are fixed for
+the whole query, so :meth:`~repro.core.ranking.RankingFunction.prepare`
+turns them into per-term constants once.  Only ``tf(w, d)`` and
+``len(d)`` vary per document: each query term's tf column is gathered
+with one forward walk over its posting list, and each candidate's
+length and external id are read from the store once.  The prepared
+scorer is then called once per candidate.
+
+Exactness comes from the ranking models, not from this loop: a prepared
+scorer performs the same float operations in the same order as
+``RankingFunction.score`` (``math.log``, the same products, summed in
+``term_counts`` order from the same start), so every score is ``==`` to
+the reference.  The property tests pin this for all three models.
+
 Determinism contract (tested by the bit-identity regressions): for a
 given ranking model, candidate order never affects any document's score —
 each score is a pure function of integer statistics and per-document
@@ -15,15 +30,14 @@ pure function of the (unordered) candidate set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from ..index.inverted_index import InvertedIndex
+from ..index.postings import PostingList
 from .ranking import RankingFunction
-from .statistics import (
-    CollectionStatistics,
-    DocumentStatistics,
-    QueryStatistics,
-)
+from .statistics import CollectionStatistics, QueryStatistics
 
 # One scored candidate: (doc_id, score, external_id), local to the index
 # that scored it (shard-local ids for a shard, global ids for a flat index).
@@ -39,22 +53,63 @@ def score_candidates(
 ) -> List[ScoredCandidate]:
     """Score every candidate; returns ``(doc_id, score, external_id)``
     triples in input order (callers own the sort key — a shard runtime
-    ranks on global ids, which for a whole index are the docids)."""
+    ranks on global ids, which for a whole index are the docids).
+
+    ``result_ids`` must be ascending: each term's tf column is gathered
+    by one forward walk over its posting list, which never moves back.
+    Every caller passes a conjunction's output (or a filtered subsequence
+    of one), which is ascending by construction.
+    """
     query_stats = QueryStatistics.from_keywords(keywords)
-    unique_keywords = list(dict.fromkeys(keywords))
-    plists = {w: index.postings(w) for w in unique_keywords}
+    score = ranking.prepare(query_stats, collection_stats)
+    columns = [
+        _tf_column(index.postings(term), result_ids)
+        for term in query_stats.term_counts
+    ]
+    rows = zip(*columns) if columns else repeat(())
+    get = index.store.get
     scored: List[ScoredCandidate] = []
-    for doc_id in result_ids:
-        doc = index.store.get(doc_id)
-        tfs = {w: (plists[w].tf_for(doc_id) or 0) for w in unique_keywords}
-        doc_stats = DocumentStatistics(
-            length=doc.length,
-            unique_terms=doc.unique_terms,
-            term_frequencies=tfs,
-        )
-        score = ranking.score(query_stats, doc_stats, collection_stats)
-        scored.append((doc_id, score, doc.external_id))
+    append = scored.append
+    for doc_id, tfs in zip(result_ids, rows):
+        doc = get(doc_id)
+        append((doc_id, score(doc.length, tfs), doc.external_id))
     return scored
+
+
+def _tf_column(plist: PostingList, doc_ids: Sequence[int]) -> List[int]:
+    """``tf(w, d)`` for each of the ascending ``doc_ids`` (0 where the
+    list has no entry), in one forward walk over ``plist``.
+
+    A segment cursor moves over the skip table only when a docid passes
+    the current segment's max docid; the probe itself is a bisect bounded
+    to that one segment.  On a lazily decoded list every probe therefore
+    stays inside one block, as :meth:`PostingList.skip_to` does.
+    """
+    ids = plist.doc_ids
+    tfs = plist.tfs
+    seg_maxes = plist._seg_maxes
+    num_segments = len(seg_maxes)
+    size = plist.segment_size
+    n = len(ids)
+    column: List[int] = []
+    append = column.append
+    seg = -1
+    seg_max = -1
+    start = end = 0
+    for doc_id in doc_ids:
+        if doc_id > seg_max:
+            seg = bisect_left(seg_maxes, doc_id, seg + 1)
+            if seg == num_segments:
+                break  # past the list's last docid: the rest are absent
+            seg_max = seg_maxes[seg]
+            start = seg * size
+            end = min(n, start + size)
+        # doc_id <= seg_max, the segment's last docid, so the probe
+        # lands inside the segment.
+        start = bisect_left(ids, doc_id, start, end)
+        append(tfs[start] if ids[start] == doc_id else 0)
+    column.extend([0] * (len(doc_ids) - len(column)))
+    return column
 
 
 def rank_candidates(

@@ -970,6 +970,8 @@ class _SerialBackend:
 
     name = "serial"
     shares_memory = True
+    # Shard slices that run at once.
+    workers = 1
 
     def __init__(self, runtimes: Sequence[ShardRuntime], max_workers=None):
         self._runtimes = list(runtimes)
@@ -994,6 +996,9 @@ class _ThreadBackend:
         self, runtimes: Sequence[ShardRuntime], max_workers: Optional[int] = None
     ):
         self._runtimes = list(runtimes)
+        self.workers = _fan_out(len(self._runtimes), max_workers)
+        # Sized as asked, not as ``workers``: concurrent callers (server
+        # threads) each map one slice per shard into the same pool.
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers or len(self._runtimes)
         )
@@ -1028,11 +1033,12 @@ def fork_available() -> bool:
 
 
 class _ForkBackend:
-    """Forked worker processes: one single-process pool per shard.
+    """Forked worker processes: one single-process pool per shard, or
+    ``max_workers`` pools with shard ``i`` on pool ``i % max_workers``.
 
     Every shard op is stateless, so affinity is not needed for
-    correctness; one pool per shard keeps each shard's runtime (and its
-    per-term cache) warm in one child.  Fork (not spawn) start: children
+    correctness; a fixed pool per shard keeps each shard's runtime (and
+    its per-term cache) warm in one child.  Fork (not spawn) start: children
     get the built indexes by copy-on-write page sharing instead of
     pickling gigabytes of postings; per-query inputs and outputs,
     candidate ids included, are pickled both ways.
@@ -1046,21 +1052,25 @@ class _ForkBackend:
     ):
         if not fork_available():
             raise QueryError("fork start method unavailable on this platform")
+        self.workers = _fan_out(len(runtimes), max_workers)
         self._key = next(_FORK_KEYS)
         _FORK_REGISTRY[self._key] = list(runtimes)
         context = multiprocessing.get_context("fork")
         self._pools = [
             ProcessPoolExecutor(max_workers=1, mp_context=context)
-            for _ in runtimes
+            for _ in range(self.workers)
         ]
 
     def map(self, method: str, payloads: Sequence[list], **kwargs) -> List[list]:
         # kwargs carry live in-memory objects (shared thresholds) that
         # cannot cross a process boundary; callers never pass them to this
         # backend, and dropping them is always result-preserving.
+        pools = self._pools
         futures = [
-            pool.submit(_fork_call, self._key, shard_id, method, payload)
-            for shard_id, (pool, payload) in enumerate(zip(self._pools, payloads))
+            pools[shard_id % len(pools)].submit(
+                _fork_call, self._key, shard_id, method, payload
+            )
+            for shard_id, payload in enumerate(payloads)
         ]
         return [future.result() for future in futures]
 
@@ -1068,6 +1078,16 @@ class _ForkBackend:
         for pool in self._pools:
             pool.shutdown(wait=True)
         _FORK_REGISTRY.pop(self._key, None)
+
+
+def _fan_out(num_shards: int, max_workers: Optional[int]) -> int:
+    """Shard slices of one call a parallel backend runs at once: one per
+    shard, capped at ``max_workers``."""
+    if max_workers is None:
+        return num_shards
+    if max_workers < 1:
+        raise QueryError(f"max_workers must be >= 1, got {max_workers}")
+    return min(max_workers, num_shards)
 
 
 _BACKENDS = {
@@ -1131,6 +1151,9 @@ class ShardedEngine:
             for i, shard in enumerate(sharded_index.shards)
         ]
         self._backend = _pick_backend(executor)(self.runtimes, max_workers)
+        # Shard slices one call runs at once (BatchReport.workers), fixed
+        # with the backend at construction.
+        self._workers = self._backend.workers
         self._authority = VersionAuthority(
             epoch_source=lambda: self.sharded_index.epoch
         )
@@ -1304,7 +1327,8 @@ class ShardedEngine:
         context, stopword-only keywords, …) are recorded, never raised.
         ``max_workers`` is accepted for the shared batch signature and
         ignored: the fan-out is the shard backend's, fixed at
-        construction.
+        construction, and the report's ``workers`` is that fan-out (1
+        for the serial backend).
         """
         if mode not in ("context", "conventional", "disjunctive"):
             raise QueryError(f"unknown batch mode: {mode!r}")
@@ -1326,7 +1350,7 @@ class ShardedEngine:
         return BatchReport(
             outcomes=outcomes,
             mode=mode,
-            workers=self.sharded_index.num_shards,
+            workers=self._workers,
             elapsed_seconds=elapsed,
         )
 

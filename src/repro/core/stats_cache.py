@@ -195,6 +195,12 @@ class CachingSearchEngine:
     # -- delegation -------------------------------------------------------
 
     @property
+    def index(self):
+        """The wrapped engine's index (read-only): batch prefetch, the
+        service's healthz and its predicate analyzer read it."""
+        return self.engine.index
+
+    @property
     def epoch(self) -> int:
         return self.engine.epoch
 

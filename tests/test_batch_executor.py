@@ -150,6 +150,25 @@ class TestWrappedEngines:
             )
 
 
+    def test_cached_search_many_prefetches(self, handmade_index, monkeypatch):
+        """The wrapper exposes its engine's index, so a cached batch pins
+        its posting columns like an uncached one."""
+        cached = CachingSearchEngine(ContextSearchEngine(handmade_index))
+        assert cached.index is handmade_index
+        prefetched = []
+        real = handmade_index.prefetch
+
+        def spy(terms, predicates=()):
+            prefetched.append((list(terms), list(predicates)))
+            return real(terms, predicates)
+
+        monkeypatch.setattr(handmade_index, "prefetch", spy)
+        report = cached.search_many(QUERIES, max_workers=1)
+        assert all(o.ok for o in report.outcomes)
+        assert len(prefetched) == 1
+        assert prefetched[0][0] and prefetched[0][1]
+
+
 class TestReportShapes:
     def test_outcome_flags(self):
         assert BatchOutcome(query="q", results=None, error="boom").ok is False

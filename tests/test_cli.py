@@ -153,7 +153,20 @@ class TestShardedPipeline:
         out = capsys.readouterr().out
         assert "ok    " in out
         assert "error " in out
-        assert "workers=3" in out
+        assert "workers=1" in out  # serial: one shard at a time
+
+    def test_batch_workers_cap_the_shard_fan_out(
+        self, artefacts, probe_query, tmp_path, capsys
+    ):
+        """``--workers 1`` over two shards runs one shard at a time, on
+        the default executor too, and the report says so."""
+        queries = tmp_path / "queries.txt"
+        queries.write_text(f"{probe_query}\n")
+        assert main([
+            "batch", "--queries", str(queries), "--index", artefacts["index"],
+            "--shards", "2", "--workers", "1", "--top-k", "5",
+        ]) == 0
+        assert "workers=1 " in capsys.readouterr().out
 
     def test_sharded_stats(self, sharded_index_path, capsys):
         assert main(["stats", "--index", sharded_index_path]) == 0

@@ -42,6 +42,7 @@ from repro.core.optimizer import (
     PATH_VIEWS,
     Optimizer,
 )
+from repro.core.ranking import ALL_RANKING_FUNCTIONS
 from repro.core.scoring import rank_candidates, score_candidates
 from repro.core.statistics import (
     UNIQUE_TERMS,
@@ -370,6 +371,40 @@ class TestScoringBitIdentity:
             assert [
                 (s, d, e) for s, d, e in expected
             ] == [(h.score, h.doc_id, h.external_id) for h in got.hits]
+
+    @pytest.mark.parametrize("shape", ["flat", "sharded"])
+    @pytest.mark.parametrize("model", ["bm25", "dirichlet-lm"])
+    def test_every_model_matches_first_principles(
+        self, corpus_index, catalog, queries, model, shape
+    ):
+        """The other ranking models, end to end: the flat engine over its
+        catalog and a three-shard engine over replicated catalogs rank
+        exactly like the per-document reference loop."""
+        ranking = ALL_RANKING_FUNCTIONS[model]()
+        flat = ContextSearchEngine(corpus_index, catalog=catalog, ranking=ranking)
+        if shape == "flat":
+            engine = flat
+        else:
+            sharded = ShardedInvertedIndex.from_index(corpus_index, 3)
+            engine = ShardedEngine(
+                sharded,
+                ranking=ranking,
+                catalogs=replicate_catalog(sharded, catalog),
+                executor="serial",
+            )
+        try:
+            for query in queries:
+                analyzed = flat._analyze(query)
+                expected = self._rederive(
+                    corpus_index, ranking, analyzed.keywords, analyzed.predicates
+                )
+                got = engine.search(query)
+                assert expected == [
+                    (h.score, h.doc_id, h.external_id) for h in got.hits
+                ]
+        finally:
+            if shape == "sharded":
+                engine.close()
 
     def test_scoring_module_matches_engines(self, handmade_engine):
         """score_candidates + rank_candidates is exactly the engine's

@@ -530,11 +530,46 @@ class TestSearchMany:
         queries = random_stack["queries"]
         report = engine.search_many(queries, top_k=10)
         assert len(report) == len(queries)
-        assert report.workers == 3
+        assert report.workers == 1  # the serial backend runs one shard at a time
         for query, outcome in zip(queries, report.outcomes):
             assert outcome.ok
             single = engine.search(query, top_k=10)
             assert hit_tuples(outcome.results) == hit_tuples(single)
+
+    @pytest.mark.parametrize(
+        "executor, max_workers, expected",
+        [("serial", None, 1), ("serial", 3, 1), ("thread", None, 3),
+         ("thread", 2, 2), ("thread", 8, 3)],
+    )
+    def test_report_counts_backend_parallelism(
+        self, random_stack, executor, max_workers, expected
+    ):
+        """``workers`` is how many shard slices run at once, not the
+        shard count."""
+        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
+        with ShardedEngine(
+            sharded, executor=executor, max_workers=max_workers
+        ) as engine:
+            report = engine.search_many(random_stack["queries"][:2])
+        assert report.workers == expected
+
+    def test_invalid_max_workers_rejected(self, random_stack):
+        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
+        with pytest.raises(QueryError, match="max_workers"):
+            ShardedEngine(sharded, executor="thread", max_workers=0)
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_fork_backend_honours_max_workers(self, random_stack, engines):
+        _, serial = engines
+        queries = random_stack["queries"][:3]
+        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
+        with ShardedEngine(sharded, executor="fork", max_workers=2) as engine:
+            report = engine.search_many(queries, top_k=10)
+        assert report.workers == 2
+        for query, outcome in zip(queries, report.outcomes):
+            assert hit_tuples(outcome.results) == hit_tuples(
+                serial.search(query, top_k=10)
+            )
 
     def test_batch_records_failures_in_order(self, random_stack, engines):
         _, engine = engines
