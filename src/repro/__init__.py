@@ -102,7 +102,7 @@ from .selection import (
     workload_driven_selection,
     workload_from_queries,
 )
-from .core import CachingSearchEngine, MaxScoreScorer, exhaustive_disjunctive
+from .core import MaxScoreScorer, exhaustive_disjunctive
 from .core import BatchExecutor, BatchReport
 from .index import (
     HashPartitioner,
@@ -211,8 +211,7 @@ __all__ = [
     "workload_driven_selection",
     "workload_from_queries",
     "evaluate_coverage",
-    # top-k & caching
-    "CachingSearchEngine",
+    # top-k
     "MaxScoreScorer",
     "exhaustive_disjunctive",
     # batched execution

@@ -24,8 +24,8 @@ This module collapses all of that into three small pieces:
 :class:`VersionVector`
     The immutable, hashable coherence token ``(data epoch, catalog
     generation, placement generation)``.  It is the *only* cache key and
-    invalidation source: the statistics cache, the serving result cache,
-    and the router's cache all stamp entries with the vector and drop
+    invalidation source: the serving result cache and the router's
+    cache both stamp entries with the vector and drop
     them when any component moves.  ``epoch`` is opaque (an int for one
     index, a tuple of per-shard epochs for a cluster) — caches only ever
     compare vectors for equality, never interpret components.

@@ -489,6 +489,10 @@ class ContextSearchEngine:
 class SharedContextStore:
     """Per-batch store of materialised contexts, keyed canonically.
 
+    The key is the analysed query's ``predicates`` tuple, which
+    :class:`~repro.core.query.ContextSpecification` already stores sorted
+    and de-duplicated, so one context spelled two ways shares one entry.
+
     Many workload queries share a context (the paper's usage model: a
     specialist works inside one context for a session), so a batch
     materialises each distinct context exactly once.  The first query to
@@ -509,31 +513,17 @@ class SharedContextStore:
         self.aggregations = 0
         self.aggregate_reuses = 0
 
-    @staticmethod
-    def key_for(predicates: Sequence[str]) -> Tuple[str, ...]:
-        """Canonical key: sorted de-duplicated predicate tuple."""
-        return tuple(sorted(set(predicates)))
-
     def materialise(
-        self, engine: "ContextSearchEngine", predicates: Sequence[str]
-    ) -> Tuple[List[int], CostCounter]:
-        """The context's docids plus the recorded materialisation cost."""
-        return self.materialise_with(
-            engine.index, predicates, use_skips=engine.plan.use_skips
-        )
-
-    def materialise_with(
         self,
         index: InvertedIndex,
-        predicates: Sequence[str],
+        predicates: Tuple[str, ...],
         use_skips: bool = True,
     ) -> Tuple[List[int], CostCounter]:
-        """Index-level entry point the ContextMaterialise operator uses."""
-        key = self.key_for(predicates)
+        """The context's docids plus the recorded materialisation cost."""
         with self._registry_lock:
-            lock = self._locks.setdefault(key, threading.Lock())
+            lock = self._locks.setdefault(predicates, threading.Lock())
         with lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(predicates)
             if entry is None:
                 counter = CostCounter()
                 context_ids = intersect_many(
@@ -542,7 +532,7 @@ class SharedContextStore:
                     use_skips=use_skips,
                 )
                 entry = (context_ids, counter)
-                self._entries[key] = entry
+                self._entries[predicates] = entry
                 self.materialisations += 1
             else:
                 self.reuses += 1
@@ -550,7 +540,7 @@ class SharedContextStore:
 
     def aggregate(
         self,
-        predicates: Sequence[str],
+        predicates: Tuple[str, ...],
         kind: str,
         compute: Callable[[CostCounter], float],
     ) -> Tuple[float, CostCounter]:
@@ -564,7 +554,7 @@ class SharedContextStore:
         (the caller merges it), keeping per-query accounting identical
         to standalone execution while the scan happens once.
         """
-        key = (self.key_for(predicates), kind)
+        key = (predicates, kind)
         with self._registry_lock:
             lock = self._locks.setdefault(key, threading.Lock())
         with lock:
@@ -642,8 +632,8 @@ class BatchExecutor:
       intersected once per batch (:class:`SharedContextStore`, reached
       through the ContextMaterialise operator), with the recorded cost
       replayed into every using query's counter;
-    * **shared decoded postings** — all keyword/predicate posting columns
-      the workload touches are prefetched once up front
+    * **shared decoded postings** — all analysed keyword/predicate
+      posting columns the workload touches are prefetched once up front
       (:meth:`InvertedIndex.prefetch`), so the batch pins each column a
       single time instead of per query;
     * **thread fan-out** — queries run concurrently on a
@@ -651,25 +641,15 @@ class BatchExecutor:
       read-only over the index so no locking is needed beyond the
       materialisation store.  The pool size is also the per-query
       :class:`~repro.core.operators.ExecutionContext` thread budget.
-
-    Context sharing requires a plain :class:`ContextSearchEngine`;
-    wrapped engines (e.g. ``CachingSearchEngine``) still get prefetch and
-    fan-out, with per-query evaluation delegated to their ``search``.
     """
 
     def __init__(
-        self,
-        engine,
-        max_workers: Optional[int] = None,
-        share_contexts: bool = True,
+        self, engine: ContextSearchEngine, max_workers: Optional[int] = None
     ):
         if max_workers is not None and max_workers < 1:
             raise QueryError(f"max_workers must be >= 1, got {max_workers}")
         self.engine = engine
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.share_contexts = share_contexts and isinstance(
-            engine, ContextSearchEngine
-        )
 
     # -- public API ---------------------------------------------------------
 
@@ -695,9 +675,7 @@ class BatchExecutor:
             raise QueryError(f"unknown batch mode: {mode!r}")
         queries = list(queries)
         started = time.perf_counter()
-        shared = SharedContextStore() if (
-            self.share_contexts and mode == "context"
-        ) else None
+        shared = SharedContextStore() if mode == "context" else None
         self._prefetch(queries)
 
         outcomes: List[Optional[BatchOutcome]] = [None] * len(queries)
@@ -744,30 +722,31 @@ class BatchExecutor:
                 results = self.engine.search_disjunctive(
                     query, top_k=top_k if top_k is not None else 10, path=path
                 )
-            elif shared is not None:
+            else:
                 results = self.engine._search_impl(
                     query, top_k, shared, path=path,
                     max_workers=self.max_workers,
                 )
-            else:
-                results = self.engine.search(query, top_k=top_k, path=path)
             return BatchOutcome(query=text, results=results)
         except ReproError as exc:
             return BatchOutcome(query=text, error=f"{type(exc).__name__}: {exc}")
 
     def _prefetch(self, queries: Sequence[Union[ContextQuery, str]]) -> None:
-        """Pin every posting column the workload touches, once."""
-        index = getattr(self.engine, "index", None)
-        if index is None:
-            return
+        """Pin every posting column the workload touches, once.
+
+        Postings are keyed by analysed terms (``pancreas`` is stored as
+        ``pancrea``), so each query goes through the engine's analyzers
+        before its terms are prefetched.
+        """
         keywords: List[str] = []
         predicates: List[str] = []
         for query in queries:
             try:
-                parsed = parse_query(query) if isinstance(query, str) else query
+                analyzed = self.engine._analyze(self.engine._coerce(query))
             except ReproError:
                 continue  # the per-query evaluation will surface the error
-
-            keywords.extend(parsed.keywords)
-            predicates.extend(parsed.predicates)
-        index.prefetch(dict.fromkeys(keywords), dict.fromkeys(predicates))
+            keywords.extend(analyzed.keywords)
+            predicates.extend(analyzed.predicates)
+        self.engine.index.prefetch(
+            dict.fromkeys(keywords), dict.fromkeys(predicates)
+        )

@@ -5,9 +5,9 @@ Composable execution primitives shared by every entry point.  The flat
 :class:`~repro.core.sharded_engine.ShardedEngine`'s per-shard runtimes,
 and the batch executor all drive the same operator objects through one
 :class:`ExecutionContext` that carries the query's
-:class:`~repro.index.postings.CostCounter`, resolution report, shared
-statistics/materialisation caches, and thread budget.  Sharding is a
-*partitioned-execution strategy over these operators*, not a separate
+:class:`~repro.index.postings.CostCounter`, resolution report, the
+batch's shared context materialisations, and thread budget.  Sharding is
+a *partitioned-execution strategy over these operators*, not a separate
 engine: a shard runtime holds one operator set over its sub-index and
 the parent merges with :class:`StatsMerge`.
 
@@ -59,16 +59,13 @@ class ExecutionContext:
 
     ``counter`` and ``resolution`` are the query's live report fields;
     ``shared_contexts`` is the per-batch materialisation store (queries
-    sharing a context intersect it once); ``stats_cache`` is a slot for
-    a cross-query statistics cache
-    (:class:`~repro.core.stats_cache.StatisticsCache`); ``max_workers``
-    is the thread budget parallel operators may consume.
+    sharing a context intersect it once); ``max_workers`` is the thread
+    budget parallel operators may consume.
     """
 
     counter: CostCounter = field(default_factory=CostCounter)
     resolution: ResolutionReport = field(default_factory=ResolutionReport)
     shared_contexts: Optional[Any] = None
-    stats_cache: Optional[Any] = None
     max_workers: Optional[int] = None
 
 
@@ -181,7 +178,7 @@ class ContextMaterialise:
         self, ctx: ExecutionContext, predicates: Sequence[str]
     ) -> List[int]:
         if ctx.shared_contexts is not None:
-            context_ids, recorded = ctx.shared_contexts.materialise_with(
+            context_ids, recorded = ctx.shared_contexts.materialise(
                 self.index, predicates, use_skips=self.use_skips
             )
             ctx.counter.merge(recorded)

@@ -49,10 +49,6 @@ Three execution backends: ``serial`` (in-process loop), ``thread``
 (forked worker processes, one pool per shard — true CPU parallelism;
 the default where ``fork`` is available).  Backends never change
 results, only wall-clock.
-
-Known limitation: :class:`~repro.core.stats_cache.CachingSearchEngine`
-wraps ``ContextSearchEngine`` internals and cannot wrap this engine;
-sharded deployments should cache at a layer above ``search_many``.
 """
 
 from __future__ import annotations

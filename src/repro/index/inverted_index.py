@@ -258,8 +258,8 @@ class InvertedIndex:
 
         One committed mutation (post-commit document batch here; delete,
         flush, or compaction in the segment lifecycle) is one tick.
-        Caches layered above the index (statistics memoisation, the query
-        service's result cache) key or guard their entries with this
+        Caches layered above the index (the query service's result
+        cache) key or guard their entries with this
         value, so anything resolved against an older collection state
         becomes unreachable the moment the index changes.  Every
         freshness consumer reads this one clock — there are no other

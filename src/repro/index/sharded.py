@@ -298,15 +298,6 @@ class ShardedInvertedIndex:
             return 0.0
         return self.total_length / docs
 
-    def prefetch(
-        self, terms: Iterable[str], predicates: Iterable[str] = ()
-    ) -> None:
-        """Pin posting columns on every shard (batch warm-up helper)."""
-        terms = list(terms)
-        predicates = list(predicates)
-        for shard in self.shards:
-            shard.index.prefetch(terms, predicates)
-
     def __repr__(self) -> str:
         sizes = [shard.index.num_docs for shard in self.shards]
         return (

@@ -14,8 +14,8 @@ work still holds them.
 Freshness flows through one number: ``engine.epoch`` delegates to the
 segmented index's :class:`~repro.lifecycle.version.VersionClock`, which
 is the same value each snapshot is stamped with, which is the same value
-the statistics cache guards on and the serving result cache keys on.
-There is no second counter anywhere to drift.
+the serving result cache keys on.  There is no second counter anywhere
+to drift.
 
 An optional :class:`~repro.views.catalog.ViewCatalog` is maintained
 *incrementally and synchronously* with mutations — per-document apply on
@@ -57,7 +57,6 @@ class LifecycleEngine:
         partitioner: str = "hash",
         executor: str = "serial",
         use_skips: bool = True,
-        caches: Iterable = (),
     ):
         self.index = index
         self.ranking = ranking
@@ -66,9 +65,6 @@ class LifecycleEngine:
         self.partitioner = partitioner
         self.executor = executor
         self.use_skips = use_skips
-        # Extra invalidation hooks (rarely needed: epoch-guarded caches
-        # self-invalidate; this covers wrappers without an epoch).
-        self._caches = list(caches)
         self._lock = threading.RLock()
         self._engine = None
         self._engine_version: Optional[int] = None
@@ -93,11 +89,7 @@ class LifecycleEngine:
             if self.catalog is not None and stored:
                 from ..views.maintenance import maintain_catalog
 
-                maintain_catalog(
-                    self.catalog, self.index, stored, caches=self._caches
-                )
-            elif self._caches:
-                self._invalidate_caches()
+                maintain_catalog(self.catalog, self.index, stored)
             return stored
 
     def delete(self, external_ids: Iterable[str]) -> int:
@@ -118,11 +110,7 @@ class LifecycleEngine:
             if self.catalog is not None and removed:
                 from ..views.maintenance import retract_catalog
 
-                retract_catalog(
-                    self.catalog, self.index, removed, caches=self._caches
-                )
-            elif self._caches:
-                self._invalidate_caches()
+                retract_catalog(self.catalog, self.index, removed)
             return count
 
     def flush(self) -> Optional[Segment]:
@@ -138,10 +126,6 @@ class LifecycleEngine:
             report = self.index.compact(full=full)
         self._fire_maintenance_hooks("compact")
         return report
-
-    def _invalidate_caches(self) -> None:
-        for cache in self._caches:
-            cache.invalidate()
 
     # -- adaptive selection hooks -----------------------------------------
 
@@ -184,9 +168,9 @@ class LifecycleEngine:
         * replaces ``self.catalog`` so the *next* ``current_engine()``
           call builds a fresh engine (flat or sharded) over it;
         * bumps the index's version clock, which is the system's single
-          epoch source — the per-version engine cache, the statistics
-          cache, and the serving result cache all roll over at once, so
-          no reader can mix old-catalog plans with new-catalog state;
+          epoch source — the per-version engine cache and the serving
+          result cache both roll over at once, so no reader can mix
+          old-catalog plans with new-catalog state;
         * records ``info`` as :attr:`last_reselection` for ``info``/
           ``healthz`` reporting.
 
@@ -199,8 +183,6 @@ class LifecycleEngine:
             new_generation = self._authority.bump_catalog(generation)
             self.index.bump_version()
             self.last_reselection = dict(info) if info else None
-            if self._caches:
-                self._invalidate_caches()
             return new_generation
 
     # -- engine management ------------------------------------------------

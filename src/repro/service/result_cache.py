@@ -1,9 +1,6 @@
 """Serving cache: an LRU of full query results, epoch-guarded.
 
-One layer above :class:`~repro.core.stats_cache.StatisticsCache`: where
-that cache memoises per-context *statistics* (so a different keyword
-query over the same context still saves the context work), this one
-memoises the *entire response body* — ranked hits plus report — so an
+It memoises the *entire response body* — ranked hits plus report — so an
 identical repeated query costs a dict lookup and no engine work at all.
 
 Correctness rests on two guards:
@@ -23,9 +20,8 @@ Correctness rests on two guards:
   mutation — even if nobody called :meth:`invalidate` explicitly.  The
   cache treats the token as opaque (it only ever compares with ``!=``),
   which is also why plain ints kept working through the refactor.
-  ``invalidate()`` exists anyway for the
-  :func:`repro.views.maintenance.maintain_catalog` ``caches=`` hook,
-  matching the statistics cache's protocol.
+  The cluster router calls :meth:`invalidate` after a catalog install
+  or placement change, to reclaim the dead entries at once.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.query import parse_query
-from ..core.stats_cache import canonical_context_key
 
 __all__ = ["ResultCache", "ResultCacheMetrics"]
 
@@ -81,7 +76,7 @@ class ResultCache:
         parsed = parse_query(query)
         return (
             tuple(parsed.keywords),
-            canonical_context_key(parsed.predicates),
+            parsed.predicates,
             mode,
             top_k,
         )
@@ -119,7 +114,7 @@ class ResultCache:
                 self.metrics.evictions += 1
 
     def invalidate(self) -> None:
-        """Drop everything (the ``maintain_catalog`` ``caches=`` hook)."""
+        """Drop everything."""
         with self._lock:
             self.metrics.invalidations += 1
             self._entries.clear()

@@ -193,10 +193,6 @@ class QueryService:
         placement change) invalidates exactly like a data mutation."""
         return self.version
 
-    def invalidate(self) -> None:
-        """Drop the serving cache (``maintain_catalog`` ``caches=`` hook)."""
-        self.result_cache.invalidate()
-
     @staticmethod
     def _find_predicate_analyzer(engine):
         index = getattr(engine, "index", None)

@@ -27,11 +27,10 @@ and new group patterns can push a view past ``T_V``.
 re-run view selection, and :func:`needs_reselection` encodes the
 re-selection policy.
 
-Maintenance is also the invalidation point for query-time memoisation:
-any :class:`~repro.core.stats_cache.StatisticsCache` (or wrapper with an
-``invalidate()`` method) passed via ``caches=`` is dropped after the
-views absorb a batch, so memoised per-context statistics can never
-outlive the collection state they were computed from.
+Maintenance invalidates nothing itself: every mutation it follows moves
+the engine's :class:`~repro.core.backend.VersionVector`, and every cache
+above the views (the serving result cache, the router's) is guarded by
+that one token.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class MaintenanceReport:
     new_group_tuples: int = 0
     views_over_tv: List[FrozenSet[str]] = field(default_factory=list)
     growth_since_selection: float = 0.0
-    caches_invalidated: int = 0
 
     def merge(self, other: "MaintenanceReport") -> None:
         self.documents_applied += other.documents_applied
@@ -176,16 +174,9 @@ def retract_catalog(
     catalog: ViewCatalog,
     index,
     removed_documents: Sequence[StoredDocument],
-    caches: Iterable = (),
 ) -> MaintenanceReport:
-    """Retract deleted documents from every catalog view, then drop caches."""
-    report = retract_views(list(catalog), index, removed_documents)
-    invalidated = 0
-    for cache in caches:
-        cache.invalidate()
-        invalidated += 1
-    report.caches_invalidated = invalidated
-    return report
+    """Retract deleted documents from every catalog view."""
+    return retract_views(list(catalog), index, removed_documents)
 
 
 def segment_delta(index, segment, tombstones=frozenset()) -> list:
@@ -207,7 +198,6 @@ def apply_segment_delta(
     segment,
     tombstones=frozenset(),
     t_v: Optional[int] = None,
-    caches: Iterable = (),
 ) -> MaintenanceReport:
     """Fold one segment's live documents into every catalog view.
 
@@ -225,11 +215,6 @@ def apply_segment_delta(
             report.views_updated += 1
         if t_v is not None and view.size > t_v:
             report.views_over_tv.append(view.keyword_set)
-    invalidated = 0
-    for cache in caches:
-        cache.invalidate()
-        invalidated += 1
-    report.caches_invalidated = invalidated
     return report
 
 
@@ -267,28 +252,14 @@ def maintain_catalog(
     new_documents: Sequence[StoredDocument],
     t_v: Optional[int] = None,
     baseline_num_docs: Optional[int] = None,
-    caches: Iterable = (),
 ) -> MaintenanceReport:
     """Maintain every catalog view; compute collection growth if given a
-    baseline (the document count at selection time).
-
-    ``caches`` takes any objects with an ``invalidate()`` method —
-    :class:`~repro.core.stats_cache.StatisticsCache`,
-    :class:`~repro.core.stats_cache.CachingSearchEngine` — and drops them
-    after the views absorb the batch, closing the stale-statistics window
-    between index append and cache reset.  Invalidation runs even for an
-    empty batch (callers may have appended via other paths).
-    """
+    baseline (the document count at selection time)."""
     report = maintain_views(list(catalog), index, new_documents, t_v=t_v)
     if baseline_num_docs:
         report.growth_since_selection = (
             index.num_docs - baseline_num_docs
         ) / baseline_num_docs
-    invalidated = 0
-    for cache in caches:
-        cache.invalidate()
-        invalidated += 1
-    report.caches_invalidated = invalidated
     return report
 
 

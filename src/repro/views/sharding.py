@@ -51,7 +51,6 @@ def materialize_catalog(
 def materialize_sharded_catalogs(
     sharded_index: ShardedInvertedIndex,
     definitions: Iterable[Sequence[Iterable[str]]],
-    caches: Iterable = (),
 ) -> List[ViewCatalog]:
     """Materialize every definition over every shard — one catalog each.
 
@@ -60,34 +59,23 @@ def materialize_sharded_catalogs(
     view-selection run).  Returns the per-shard catalogs positionally
     aligned with ``sharded_index.shards``, ready to hand to
     :class:`~repro.core.sharded_engine.ShardedEngine`.
-
-    ``caches`` mirrors :func:`repro.views.maintenance.maintain_catalog`:
-    anything with an ``invalidate()`` method (statistics memoisation, the
-    query service's result cache) is dropped after the re-materialisation
-    — replication is the sharded deployment's catalog mutation point, so
-    it must not leave memoised answers from the previous catalog behind.
     """
     definitions = list(definitions)
-    catalogs = [
+    return [
         materialize_catalog(shard.index, definitions)
         for shard in sharded_index.shards
     ]
-    for cache in caches:
-        cache.invalidate()
-    return catalogs
 
 
 def replicate_catalog(
     sharded_index: ShardedInvertedIndex,
     catalog: ViewCatalog,
-    caches: Iterable = (),
 ) -> List[ViewCatalog]:
     """Re-materialize an existing catalog's definitions per shard.
 
     The single-collection catalog's *tuples* are useless to a shard (they
     aggregate the whole collection); only the definitions replicate.
-    ``caches`` is forwarded to :func:`materialize_sharded_catalogs`.
     """
     return materialize_sharded_catalogs(
-        sharded_index, catalog_definitions(catalog), caches=caches
+        sharded_index, catalog_definitions(catalog)
     )

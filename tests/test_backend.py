@@ -21,7 +21,6 @@ import threading
 import pytest
 
 from repro import (
-    CachingSearchEngine,
     ContextSearchEngine,
     IncrementalReselector,
     ShardedEngine,
@@ -297,11 +296,6 @@ def _flat():
     return engine, engine.close
 
 
-def _cached_flat():
-    inner = ContextSearchEngine(build_index(HANDMADE_DOCS))
-    return CachingSearchEngine(inner), inner.close
-
-
 def _sharded():
     sharded = ShardedInvertedIndex.from_index(
         build_index(HANDMADE_DOCS), 2, partitioner="hash"
@@ -313,7 +307,6 @@ def _sharded():
 @pytest.fixture(
     params=[
         ("flat", _flat, "flat"),
-        ("cached", _cached_flat, "flat"),
         ("sharded", _sharded, "sharded"),
         ("lifecycle", lambda: _lifecycle(0), "lifecycle"),
         ("lifecycle-sharded", lambda: _lifecycle(2), "lifecycle"),

@@ -11,7 +11,6 @@ import pytest
 
 from repro import BatchExecutor, ContextSearchEngine
 from repro.core.engine import BatchOutcome, BatchReport, SharedContextStore
-from repro.core.stats_cache import CachingSearchEngine
 from repro.errors import QueryError
 from repro.index.postings import CostCounter
 
@@ -46,15 +45,6 @@ class TestCounterParity:
             for a, b in zip(solo.hits, outcome.results.hits):
                 assert a.score == pytest.approx(b.score, abs=1e-12)
 
-    def test_parity_holds_without_sharing(self, engine):
-        shared = BatchExecutor(engine, max_workers=2).run(QUERIES)
-        unshared = BatchExecutor(
-            engine, max_workers=2, share_contexts=False
-        ).run(QUERIES)
-        for a, b in zip(shared.outcomes, unshared.outcomes):
-            assert a.results.external_ids() == b.results.external_ids()
-            assert a.results.report.counter == b.results.report.counter
-
     def test_conventional_mode_parity(self, engine):
         report = BatchExecutor(engine, max_workers=2).run(
             QUERIES, mode="conventional"
@@ -80,13 +70,22 @@ class TestSharing:
         assert report.distinct_contexts == 4
         assert report.shared_context_hits == 2
 
-    def test_store_canonicalises_keys(self):
-        assert SharedContextStore.key_for(["b", "a", "b"]) == ("a", "b")
+    def test_one_context_spelled_two_ways_materialised_once(self, engine):
+        report = engine.search_many(
+            [
+                "leukemia | DigestiveSystem Diseases",
+                "pancreas | Diseases DigestiveSystem Diseases",
+            ]
+        )
+        assert all(o.ok for o in report.outcomes)
+        assert report.distinct_contexts == 1
+        assert report.shared_context_hits == 1
 
     def test_store_materialises_once(self, engine):
         store = SharedContextStore()
-        first_ids, first_cost = store.materialise(engine, ["DigestiveSystem"])
-        second_ids, second_cost = store.materialise(engine, ["DigestiveSystem"])
+        context = ("DigestiveSystem",)
+        first_ids, first_cost = store.materialise(engine.index, context)
+        second_ids, second_cost = store.materialise(engine.index, context)
         assert first_ids is second_ids
         assert store.materialisations == 1
         assert store.reuses == 1
@@ -135,38 +134,22 @@ class TestRobustness:
         assert report.aggregate_counter() == expected
 
 
-class TestWrappedEngines:
-    def test_caching_engine_supported_without_sharing(self, handmade_index):
-        cached = CachingSearchEngine(ContextSearchEngine(handmade_index))
-        reference = ContextSearchEngine(handmade_index)
-        executor = BatchExecutor(cached, max_workers=2)
-        assert executor.share_contexts is False
-        report = executor.run(QUERIES)
-        assert all(o.ok for o in report.outcomes)
-        for text, outcome in zip(QUERIES, report.outcomes):
-            assert (
-                outcome.results.external_ids()
-                == reference.search(text).external_ids()
-            )
-
-
-    def test_cached_search_many_prefetches(self, handmade_index, monkeypatch):
-        """The wrapper exposes its engine's index, so a cached batch pins
-        its posting columns like an uncached one."""
-        cached = CachingSearchEngine(ContextSearchEngine(handmade_index))
-        assert cached.index is handmade_index
+class TestPrefetch:
+    def test_prefetches_analysed_terms(self, engine, monkeypatch):
+        """Postings are keyed by analysed terms, so the batch warms the
+        stem ``pancrea``, not the surface form ``pancreas``."""
         prefetched = []
-        real = handmade_index.prefetch
+        real = engine.index.prefetch
 
         def spy(terms, predicates=()):
             prefetched.append((list(terms), list(predicates)))
             return real(terms, predicates)
 
-        monkeypatch.setattr(handmade_index, "prefetch", spy)
-        report = cached.search_many(QUERIES, max_workers=1)
+        monkeypatch.setattr(engine.index, "prefetch", spy)
+        report = engine.search_many(["pancreas | DigestiveSystem"])
         assert all(o.ok for o in report.outcomes)
-        assert len(prefetched) == 1
-        assert prefetched[0][0] and prefetched[0][1]
+        assert prefetched == [(["pancrea"], ["DigestiveSystem"])]
+        assert len(real(["pancrea"])["pancrea"]) > 0
 
 
 class TestReportShapes:

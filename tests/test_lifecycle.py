@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ContextSearchEngine, Document, InvertedIndex
-from repro.core.stats_cache import CachingSearchEngine
 from repro.errors import IndexError_, QueryError
 from repro.lifecycle import (
     LifecycleEngine,
@@ -747,17 +746,15 @@ class TestEpochConsumers:
 
     def test_single_epoch_source_across_the_stack(self):
         """Every epoch consumer reads the same VersionClock value: the
-        lifecycle engine, its per-snapshot inner engine, the snapshot
-        itself, and the stats-cache wrapper all agree — and a mutation
-        advances all of them through the one clock."""
+        lifecycle engine, its per-snapshot inner engine and the snapshot
+        itself all agree — and a mutation advances all of them through
+        the one clock."""
         index = SegmentedIndex()
         engine = LifecycleEngine(index)
         engine.ingest(DOCS[:10])
         inner = engine.current_engine()
-        cached = CachingSearchEngine(inner)
         assert (
-            cached.epoch
-            == inner.epoch
+            inner.epoch
             == engine.epoch
             == index.epoch
             == index.snapshot().version
@@ -766,24 +763,7 @@ class TestEpochConsumers:
         engine.ingest(DOCS[10:])
         fresh_inner = engine.current_engine()
         assert fresh_inner is not inner
-        assert fresh_inner.epoch == index.epoch > cached.epoch
-
-    def test_stats_cache_over_snapshot_engine_bit_identical(self):
-        """A snapshot-backed engine's epoch is frozen, so the stats cache
-        can serve hits forever without ever being stale — and the hit
-        path must not change rankings."""
-        index = SegmentedIndex()
-        engine = LifecycleEngine(index)
-        engine.ingest(DOCS)
-        engine.flush()
-        inner = engine.current_engine()
-        cached = CachingSearchEngine(inner)
-        first = cached.search("protein | Proteins")
-        assert len(cached.cache) > 0
-        second = cached.search("protein | Proteins")
-        assert cached.cache.metrics.spec_hits > 0
-        assert ranking_of(second) == ranking_of(first)
-        assert_equivalent_single(cached, DOCS, "protein | Proteins")
+        assert fresh_inner.epoch == index.epoch > inner.epoch
 
     def test_mutation_swaps_inner_engine_and_rankings_follow(self):
         index = SegmentedIndex()

@@ -183,76 +183,3 @@ class TestEndToEndMaintenance:
         assert a.external_ids() == b.external_ids()
         for ha, hb in zip(a.hits, b.hits):
             assert ha.score == pytest.approx(hb.score, abs=1e-10)
-
-
-class TestCacheInvalidation:
-    """Maintenance is the invalidation point for query-time memoisation:
-    a statistics cache passed via ``caches=`` must be dropped when views
-    absorb an ingestion batch, so memoised per-context statistics never
-    outlive the collection state they were computed from."""
-
-    def _cached_engine(self):
-        from repro.core.stats_cache import CachingSearchEngine
-        from repro.views import ViewCatalog
-
-        index = build_index(HANDMADE_DOCS)
-        catalog = ViewCatalog()
-        cached = CachingSearchEngine(ContextSearchEngine(index))
-        return index, catalog, cached
-
-    def test_maintain_catalog_invalidates_caches(self):
-        index, catalog, cached = self._cached_engine()
-        cached.search("leukemia | DigestiveSystem")
-        assert len(cached.cache) > 0
-
-        stored = index.append_documents(NEW_DOCS)
-        report = maintain_catalog(catalog, index, stored, caches=[cached])
-        assert report.caches_invalidated == 1
-        assert len(cached.cache) == 0
-        assert cached.cache.metrics.invalidations == 1
-
-    def test_statistics_fresh_after_maintenance(self):
-        """Regression: without invalidation the cached context statistics
-        would be served stale after an incremental update."""
-        index, catalog, cached = self._cached_engine()
-        before = cached.search("leukemia | DigestiveSystem")
-
-        # N1 joins the DigestiveSystem context and mentions leukemia.
-        stored = index.append_documents(NEW_DOCS)
-        maintain_catalog(catalog, index, stored, caches=[cached])
-
-        after = cached.search("leukemia | DigestiveSystem")
-        assert after.report.context_size == before.report.context_size + 1
-        fresh = ContextSearchEngine(index).search("leukemia | DigestiveSystem")
-        assert after.external_ids() == fresh.external_ids()
-        for ha, hb in zip(after.hits, fresh.hits):
-            assert ha.score == pytest.approx(hb.score, abs=1e-12)
-
-    def test_epoch_guard_invalidates_without_caches(self):
-        """Even when ``caches=`` is skipped, the engine's epoch counter
-        (bumped by ``append_documents``) makes the caching wrapper drop
-        its memoised statistics — a stale cardinality is never served."""
-        index, catalog, cached = self._cached_engine()
-        before = cached.search("leukemia | DigestiveSystem")
-
-        stored = index.append_documents(NEW_DOCS)
-        maintain_catalog(catalog, index, stored)  # no caches passed
-
-        after = cached.search("leukemia | DigestiveSystem")
-        assert after.report.context_size == before.report.context_size + 1
-        fresh = ContextSearchEngine(index).search("leukemia | DigestiveSystem")
-        assert after.external_ids() == fresh.external_ids()
-
-    def test_plain_statistics_cache_accepted(self):
-        from repro.core.stats_cache import StatisticsCache
-        from repro.views import ViewCatalog
-
-        index = build_index(HANDMADE_DOCS)
-        cache = StatisticsCache()
-        cache.store(("DigestiveSystem",), {})
-        stored = index.append_documents(NEW_DOCS)
-        report = maintain_catalog(
-            ViewCatalog(), index, stored, caches=[cache]
-        )
-        assert report.caches_invalidated == 1
-        assert len(cache) == 0

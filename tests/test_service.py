@@ -21,7 +21,6 @@ import pytest
 from repro import ContextSearchEngine, Document, build_index
 from repro.core.backend import VersionVector
 from repro.core.report import CostCounter, ExecutionReport, ShardReport
-from repro.core.stats_cache import CachingSearchEngine
 from repro.errors import QueryError, ReproError
 from repro.service import (
     AdmissionController,
@@ -827,19 +826,6 @@ class TestQueryService(FrontEndCases):
         assert health["engine"] == "flat"
         assert health["num_docs"] == len(HANDMADE_DOCS)
         assert health["epoch"] == 0
-
-    def test_healthz_over_cached_engine(self, handmade_index):
-        """A cached flat engine reports its index's size and lends the
-        service its predicate analyzer."""
-        cached = CachingSearchEngine(ContextSearchEngine(handmade_index))
-        service = make_service(cached)
-        try:
-            health = run_async(service.handle_request(Request(op="healthz")))
-        finally:
-            service.close()
-        assert health["engine"] == "flat"
-        assert health["num_docs"] == len(HANDMADE_DOCS)
-        assert service._predicate_analyzer is handmade_index.predicate_analyzer
 
     def test_metrics_op(self, handmade_engine):
         service = make_service(handmade_engine)
