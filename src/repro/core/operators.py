@@ -381,14 +381,14 @@ class MaxScoreTopK:
         diagnostics: Optional[Any] = None,
         block_max: bool = True,
     ):
-        from .topk import MaxScoreScorer, PredicateMembership
+        from .topk import MaxScoreScorer
 
         scorer = MaxScoreScorer(
             self.index,
             list(keywords),
             collection_stats,
             self.ranking,
-            context_filter=PredicateMembership(self.index, list(predicates)),
+            predicates=predicates,
             term_bounds=term_bounds,
             block_max=block_max,
         )

@@ -61,12 +61,7 @@ def _intersect_with_context(
     piggybacked on the same scan, evaluated by the adaptive array kernel.
     """
     matched, tc_total = intersect_ids_with_tfs(
-        context_ids,
-        plist.doc_ids,
-        plist.tfs,
-        plist.segment_size,
-        counter=None,
-        want_tc=want_tc,
+        context_ids, plist, counter=None, want_tc=want_tc
     )
     if counter is not None:
         # Same accounting as the sequential formulation: one touched entry

@@ -11,8 +11,9 @@ statistics by scope (Table 1).  ``S_q(Q)`` and ``S_c(D_P)`` are fixed for
 the whole query, so :meth:`~repro.core.ranking.RankingFunction.prepare`
 turns them into per-term constants once.  Only ``tf(w, d)`` and
 ``len(d)`` vary per document: each query term's tf column is gathered
-with one forward walk over its posting list, and each candidate's
-length and external id are read from the store once.  The prepared
+by one :class:`~repro.index.postings.PostingCursor` seeking forward
+through its posting list, and each candidate's length and external id
+are read from the store once.  The prepared
 scorer is then called once per candidate.
 
 Exactness comes from the ranking models, not from this loop: a prepared
@@ -30,12 +31,11 @@ pure function of the (unordered) candidate set.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from ..index.inverted_index import InvertedIndex
-from ..index.postings import PostingList
+from ..index.postings import PostingCursor, PostingList
 from .ranking import RankingFunction
 from .statistics import CollectionStatistics, QueryStatistics
 
@@ -78,38 +78,11 @@ def score_candidates(
 
 def _tf_column(plist: PostingList, doc_ids: Sequence[int]) -> List[int]:
     """``tf(w, d)`` for each of the ascending ``doc_ids`` (0 where the
-    list has no entry), in one forward walk over ``plist``.
-
-    A segment cursor moves over the skip table only when a docid passes
-    the current segment's max docid; the probe itself is a bisect bounded
-    to that one segment.  On a lazily decoded list every probe therefore
-    stays inside one block, as :meth:`PostingList.skip_to` does.
-    """
-    ids = plist.doc_ids
-    tfs = plist.tfs
-    seg_maxes = plist._seg_maxes
-    num_segments = len(seg_maxes)
-    size = plist.segment_size
-    n = len(ids)
-    column: List[int] = []
-    append = column.append
-    seg = -1
-    seg_max = -1
-    start = end = 0
-    for doc_id in doc_ids:
-        if doc_id > seg_max:
-            seg = bisect_left(seg_maxes, doc_id, seg + 1)
-            if seg == num_segments:
-                break  # past the list's last docid: the rest are absent
-            seg_max = seg_maxes[seg]
-            start = seg * size
-            end = min(n, start + size)
-        # doc_id <= seg_max, the segment's last docid, so the probe
-        # lands inside the segment.
-        start = bisect_left(ids, doc_id, start, end)
-        append(tfs[start] if ids[start] == doc_id else 0)
-    column.extend([0] * (len(doc_ids) - len(column)))
-    return column
+    list has no entry), in one forward cursor walk over ``plist``: on a
+    lazily decoded list each block is decoded at most once."""
+    cursor = PostingCursor(plist)
+    seek = cursor.seek
+    return [cursor.tf if seek(doc_id) == doc_id else 0 for doc_id in doc_ids]
 
 
 def rank_candidates(

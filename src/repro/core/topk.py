@@ -5,9 +5,11 @@ that only a small fraction of the lists are processed", but cannot help
 context-sensitive ranking *before* collection statistics are known.
 Once the statistics ARE known — instantly, from a materialized view —
 pruned top-k becomes applicable again.  This module supplies that stage:
-document-at-a-time MaxScore over the query terms' posting lists,
-restricted to a context, using per-term score upper bounds from the
-ranking model.
+document-at-a-time MaxScore over one
+:class:`~repro.index.postings.PostingCursor` per query term, using
+per-term score upper bounds from the ranking model.  The context is
+never materialised: candidates ascend, so membership in ``D_P`` is a
+forward seek of one cursor per predicate list.
 
 OR semantics also matches the paper's Section 1.1 example, where the
 two citations each match only one of {pancreas, leukemia}: under the
@@ -30,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..index.inverted_index import InvertedIndex
-from ..index.postings import CostCounter, PostingList
+from ..index.postings import END_OF_LIST, CostCounter, PostingCursor, PostingList
 from .statistics import CollectionStatistics, QueryStatistics
 
 
@@ -79,22 +81,6 @@ class ScoredDocument:
     score: float
 
 
-class PredicateMembership:
-    """Lazy context-membership test: ``doc_id in membership``.
-
-    Checks each predicate posting list by binary search instead of
-    materialising the context — O(c·log n) per probe.  This is what lets
-    the views path run disjunctive top-k without ever paying the
-    context-materialisation cost the views exist to avoid.
-    """
-
-    def __init__(self, index: InvertedIndex, predicates: Sequence[str]):
-        self._lists = [index.predicate_postings(m) for m in predicates]
-
-    def __contains__(self, doc_id: int) -> bool:
-        return all(plist.contains(doc_id) for plist in self._lists)
-
-
 class SharedTopKThreshold:
     """A thread-safe running global k-th best score across shard scorers.
 
@@ -137,7 +123,9 @@ class MaxScoreScorer:
     Terms are ordered by descending upper bound; once the running top-k
     threshold exceeds the total bound of the *non-essential* suffix,
     documents appearing only in those lists cannot reach the heap and
-    their cursors are never used to generate candidates.
+    their cursors are never used to generate candidates.  Only documents
+    in every one of ``predicates`` (the context ``P``; none means the
+    whole collection) are scored.
     """
 
     # How many candidates between refreshes of an external shared
@@ -150,7 +138,7 @@ class MaxScoreScorer:
         keywords: Sequence[str],
         collection_stats: CollectionStatistics,
         ranking,
-        context_filter: Optional[object] = None,
+        predicates: Sequence[str] = (),
         term_bounds: Optional[Mapping[str, float]] = None,
         block_max: bool = True,
     ):
@@ -162,7 +150,7 @@ class MaxScoreScorer:
         self.index = index
         self.ranking = ranking
         self.collection_stats = collection_stats
-        self.context_filter = context_filter
+        self.predicates = list(predicates)
         self.query_stats = QueryStatistics.from_keywords(keywords)
 
         unique_terms = list(dict.fromkeys(keywords))
@@ -185,10 +173,6 @@ class MaxScoreScorer:
             self._lists.append((term, plist, bound))
         # Descending bound: essential lists come first.
         self._lists.sort(key=lambda item: -item[2])
-        # Cursor end positions, cached once: lists are frozen for the
-        # scorer's lifetime, and on lazily-decoded lists len(doc_ids) is
-        # a metadata read we should not repeat in the per-candidate loop.
-        self._list_sizes = [len(plist) for _, plist, _ in self._lists]
         # suffix_bounds[i] = total bound of lists i..end.
         self._suffix_bounds = [0.0] * (len(self._lists) + 1)
         for i in range(len(self._lists) - 1, -1, -1):
@@ -248,7 +232,13 @@ class MaxScoreScorer:
             return []
         lengths = self.index.document_lengths()
         num_lists = len(self._lists)
-        positions = [0] * num_lists
+        cursors = [PostingCursor(plist) for _, plist, _ in self._lists]
+        # The context ``D_P`` as one forward cursor per predicate list:
+        # candidates ascend, so no membership probe ever moves back.
+        context = [
+            PostingCursor(self.index.predicate_postings(m))
+            for m in self.predicates
+        ]
         # Min-heap of (score, -doc_id) so the worst of the top-k is at
         # heap[0] and docid ties resolve toward smaller ids.
         heap: List[Tuple[float, int]] = []
@@ -261,14 +251,13 @@ class MaxScoreScorer:
         # combined bound below the threshold.
         first_non_essential = self._essential_prefix(threshold)
         since_refresh = 0
-        # Block-max state: current block index per list (-1 = needs
-        # refresh) and that block's score bound.  Tracking is lazy — the
+        # Block-max state: the block whose bound was last loaded per list
+        # (-1 = needs refresh) and that bound.  Tracking is lazy — the
         # candidate loop refreshes an entry only when its cursor crossed a
         # block boundary — and only runs once a finite threshold exists,
         # so the pre-heap-fill phase pays no block overhead.
         use_blocks = self.block_max
         block_bounds = self._block_bounds
-        sizes = self._list_sizes
         cur_block = [-1] * num_lists
         cur_bound = [0.0] * num_lists
         neg_inf = float("-inf")
@@ -284,24 +273,24 @@ class MaxScoreScorer:
                         first_non_essential = self._essential_prefix(threshold)
             # Next candidate: smallest current docid among essential lists.
             blocks_active = use_blocks and threshold != neg_inf
-            candidate = None
+            candidate = END_OF_LIST
             block_sum = 0.0
             for i in range(first_non_essential):
-                plist = self._lists[i][1]
-                pos = positions[i]
-                if pos < sizes[i]:
-                    doc_id = plist.doc_ids[pos]
-                    if candidate is None or doc_id < candidate:
-                        candidate = doc_id
-                    if blocks_active:
-                        block = pos // plist.segment_size
-                        if block != cur_block[i]:
-                            cur_block[i] = block
-                            cur_bound[i] = block_bounds[i][block]
-                            if diagnostics is not None:
-                                diagnostics.blocks_considered += 1
-                        block_sum += cur_bound[i]
-            if candidate is None:
+                cursor = cursors[i]
+                doc_id = cursor.doc
+                if doc_id == END_OF_LIST:
+                    continue
+                if doc_id < candidate:
+                    candidate = doc_id
+                if blocks_active:
+                    block = cursor.block
+                    if block != cur_block[i]:
+                        cur_block[i] = block
+                        cur_bound[i] = block_bounds[i][block]
+                        if diagnostics is not None:
+                            diagnostics.blocks_considered += 1
+                    block_sum += cur_bound[i]
+            if candidate == END_OF_LIST:
                 break
             if (
                 blocks_active
@@ -317,39 +306,34 @@ class MaxScoreScorer:
                 # exact ties (which could still win the docid tie-break)
                 # are never skipped.  Jump every essential cursor past
                 # the window; the minimum block end is >= candidate, so
-                # the target strictly advances.
-                target = None
+                # the target strictly advances (an exhausted cursor's
+                # block end is END_OF_LIST and never the minimum).
+                target = 1 + min(
+                    cursors[i].block_max_doc for i in range(first_non_essential)
+                )
                 for i in range(first_non_essential):
-                    plist = self._lists[i][1]
-                    if positions[i] < sizes[i]:
-                        block_end = plist._seg_maxes[cur_block[i]]
-                        if target is None or block_end < target:
-                            target = block_end
-                target += 1
-                for i in range(first_non_essential):
-                    plist = self._lists[i][1]
-                    pos = positions[i]
-                    if pos < sizes[i]:
-                        positions[i] = plist.skip_to(pos, target, counter)
-                        if diagnostics is not None:
-                            # Every block boundary crossed here is a block
-                            # whose remaining postings were bypassed
-                            # without scoring.
-                            landed = positions[i] // plist.segment_size
-                            gap = landed - cur_block[i]
-                            if gap > 0:
-                                diagnostics.blocks_skipped += gap
-                        cur_block[i] = -1
+                    cursor = cursors[i]
+                    if cursor.doc == END_OF_LIST:
+                        continue
+                    cursor.seek(target, counter)
+                    if diagnostics is not None:
+                        # Every block boundary crossed here is a block
+                        # whose remaining postings were bypassed
+                        # without scoring.
+                        gap = cursor.block - cur_block[i]
+                        if gap > 0:
+                            diagnostics.blocks_skipped += gap
+                    cur_block[i] = -1
                 continue
             if diagnostics is not None:
                 diagnostics.candidates_seen += 1
 
-            in_context = (
-                self.context_filter is None or candidate in self.context_filter
-            )
-            if in_context:
+            for member in context:
+                if member.seek(candidate) != candidate:
+                    break
+            else:
                 score = self._score_candidate(
-                    candidate, positions, lengths, threshold, counter, diagnostics
+                    candidate, cursors, lengths, threshold, counter, diagnostics
                 )
                 entry = (score, -candidate) if score is not None else None
                 if entry is not None and (len(heap) < k or entry > heap[0]):
@@ -367,12 +351,8 @@ class MaxScoreScorer:
 
             # Advance every essential cursor sitting on the candidate.
             for i in range(first_non_essential):
-                plist = self._lists[i][1]
-                pos = positions[i]
-                if pos < sizes[i] and plist.doc_ids[pos] == candidate:
-                    positions[i] = pos + 1
-                    if counter is not None:
-                        counter.entries_scanned += 1
+                if cursors[i].doc == candidate:
+                    cursors[i].advance(counter)
 
         ranked = sorted(heap, key=lambda entry: (-entry[0], -entry[1]))
         return [ScoredDocument(doc_id=-neg, score=s) for s, neg in ranked]
@@ -396,7 +376,7 @@ class MaxScoreScorer:
     def _score_candidate(
         self,
         doc_id: int,
-        positions: List[int],
+        cursors: List[PostingCursor],
         lengths: Sequence[int],
         threshold: float,
         counter: Optional[CostCounter],
@@ -405,7 +385,7 @@ class MaxScoreScorer:
         """Score with early termination against the remaining bound."""
         total = 0.0
         doc_length = lengths[doc_id]
-        for i, (term, plist, bound) in enumerate(self._lists):
+        for i, (term, _, _) in enumerate(self._lists):
             remaining = self._suffix_bounds[i]
             # Strict: equal-scoring documents must still be scored so the
             # docid tie-break matches exhaustive evaluation exactly.
@@ -413,16 +393,11 @@ class MaxScoreScorer:
                 if diagnostics is not None:
                     diagnostics.candidates_pruned += 1
                 return None
-            positions[i] = plist.skip_to(positions[i], doc_id, counter)
-            tf = 0
-            if (
-                positions[i] < self._list_sizes[i]
-                and plist.doc_ids[positions[i]] == doc_id
-            ):
-                tf = plist.tfs[positions[i]]
-            if tf:
+            cursor = cursors[i]
+            if cursor.seek(doc_id, counter) == doc_id:
                 total += self.ranking.term_score(
-                    term, tf, doc_length, self.query_stats, self.collection_stats
+                    term, cursor.tf, doc_length, self.query_stats,
+                    self.collection_stats,
                 )
         if diagnostics is not None:
             diagnostics.candidates_scored += 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .kernels import adaptive_intersect
-from .postings import CostCounter, PostingList
+from .postings import END_OF_LIST, CostCounter, PostingCursor, PostingList
 
 
 def model_intersection_cost(a: PostingList, b: PostingList) -> int:
@@ -114,21 +114,17 @@ def intersect_skip_merge(
     if counter is not None:
         counter.model_cost += model_intersection_cost(a, b)
     result: List[int] = []
-    i = j = 0
-    na, nb = len(a.doc_ids), len(b.doc_ids)
-    a_ids, b_ids = a.doc_ids, b.doc_ids
-    while i < na and j < nb:
-        da, db = a_ids[i], b_ids[j]
+    ca, cb = PostingCursor(a), PostingCursor(b)
+    da, db = ca.doc, cb.doc
+    while da != END_OF_LIST and db != END_OF_LIST:
         if da == db:
             result.append(da)
-            i += 1
-            j += 1
-            if counter is not None:
-                counter.entries_scanned += 2
+            da = ca.advance(counter)
+            db = cb.advance(counter)
         elif da < db:
-            i = a.skip_to(i, db, counter)
+            da = ca.seek(db, counter)
         else:
-            j = b.skip_to(j, da, counter)
+            db = cb.seek(da, counter)
     return result
 
 

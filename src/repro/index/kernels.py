@@ -39,7 +39,7 @@ try:  # numpy is optional: the dense kernel falls back to set operations
 except ImportError:  # pragma: no cover - exercised via _dense_set tests
     _np = None
 
-from .postings import CostCounter
+from .postings import CostCounter, PostingCursor, PostingList
 
 # One list must be this many times longer than the other before galloping
 # beats the dense C-path merge (measured crossovers on CPython 3.11).
@@ -175,27 +175,26 @@ def adaptive_intersect(
 
 def intersect_ids_with_tfs(
     ids: Sequence[int],
-    doc_ids: Sequence[int],
-    tfs: Sequence[int],
-    segment_size: int,
+    plist: PostingList,
     counter: Optional[CostCounter] = None,
     want_tc: bool = False,
 ) -> Tuple[List[int], int]:
-    """Intersect a materialised docid list with a posting list's columns.
+    """Intersect a materialised docid list with a posting list.
 
     Returns ``(matched_ids, tc_total)`` where ``tc_total`` sums the tf of
     matched documents (0 unless ``want_tc``).  This is the
-    ``L_w ∩ context`` operator of Figure 3 with the SUM piggybacked; the
-    match set is computed by the adaptive kernel, then tfs are fetched by
-    binary search per match (matches are few relative to either input in
-    the regimes that matter).
+    ``L_w ∩ context`` operator of Figure 3 with the SUM piggybacked: the
+    match set is computed by the adaptive kernel, then the tfs are read
+    by one forward cursor, which decodes each block of a lazy list at
+    most once.
     """
-    matched = adaptive_intersect(ids, doc_ids, segment_size, segment_size, counter)
+    matched = adaptive_intersect(
+        ids, plist.doc_ids, plist.segment_size, plist.segment_size, counter
+    )
     tc_total = 0
-    if want_tc and matched:
-        pos = 0
+    if want_tc:
+        cursor = PostingCursor(plist)
         for doc_id in matched:
-            pos = bisect_left(doc_ids, doc_id, pos)
-            tc_total += tfs[pos]
-            pos += 1
+            cursor.seek(doc_id)
+            tc_total += cursor.tf
     return matched, tc_total

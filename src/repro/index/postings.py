@@ -12,11 +12,12 @@ where ``N^o`` counts segments whose docid ranges overlap the other list.
 Storage layout: the docid and tf columns are ``array('q')`` (signed
 64-bit, contiguous C buffers), not Python lists.  The skip table is
 likewise three parallel ``array('q')`` columns (segment start index,
-segment min docid, segment max docid).  The columnar layout keeps every
-cursor operation (`skip_to`, `contains`, `tf_for`, `overlapping_segments`)
-a ``bisect`` over a flat buffer instead of a Python-level scan, and it is
-what the galloping intersection kernels in :mod:`repro.index.kernels`
-probe directly.
+segment min docid, segment max docid).  Every seek through the skip
+table goes through one :class:`PostingCursor`: a ``bisect`` over the
+segment max-docid buffer, then one over a single segment of the docid
+buffer.  ``contains`` and ``tf_for`` are one seek on a fresh cursor.
+The galloping intersection kernels in :mod:`repro.index.kernels` probe
+the flat docid buffer directly.
 """
 
 from __future__ import annotations
@@ -297,75 +298,14 @@ class PostingList:
         self._require_frozen()
         return tuple(zip(self._skip_starts, self._seg_maxes))
 
-    def _segment_position(self, doc_id: int) -> int:
-        """Position of ``doc_id`` if present, else ``len(self)``.
-
-        Routes through the skip table first: one bisect over the segment
-        max-docid column picks the only segment that can hold ``doc_id``,
-        then a bisect over that segment alone finds it.  Bounding the
-        docid probe to one segment matters for lazily materialised
-        columns — a membership test decodes at most one block instead of
-        O(log n) scattered blocks.
-        """
-        self._require_frozen()
-        seg = bisect_left(self._seg_maxes, doc_id)
-        if seg >= len(self._seg_maxes):
-            return len(self.doc_ids)
-        start = self._skip_starts[seg]
-        end = min(len(self.doc_ids), start + self.segment_size)
-        pos = bisect_left(self.doc_ids, doc_id, start, end)
-        if pos < end and self.doc_ids[pos] == doc_id:
-            return pos
-        return len(self.doc_ids)
-
     def contains(self, doc_id: int) -> bool:
-        """Binary-search membership test (no cost accounting)."""
-        return self._segment_position(doc_id) < len(self.doc_ids)
+        """Membership test through a fresh cursor (no cost accounting)."""
+        return PostingCursor(self).seek(doc_id) == doc_id
 
     def tf_for(self, doc_id: int) -> Optional[int]:
         """Return the stored tf for ``doc_id`` or ``None`` if absent."""
-        pos = self._segment_position(doc_id)
-        if pos < len(self.doc_ids):
-            return self.tfs[pos]
-        return None
-
-    def skip_to(self, position: int, target: int, counter: Optional[CostCounter]) -> int:
-        """Advance ``position`` toward the first entry with docid >= target.
-
-        Uses the skip table to jump whole segments whose max docid is below
-        ``target``, then binary-searches within the landing segment.  Cost
-        accounting matches the sequential formulation exactly: one skipped
-        segment per skip-pointer jump, one scanned entry per in-segment
-        entry passed over.  Returns the new position (may be ``len(self)``
-        when exhausted).
-        """
-        self._require_frozen()
-        n = len(self.doc_ids)
-        if position >= n:
-            # Exhausted cursor: nothing to advance (also keeps ``seg``
-            # inside the skip table when n is a segment-size multiple).
-            return position
-        seg = position // self.segment_size
-        # Jump over fully-passed segments: land on the first segment whose
-        # max docid reaches the target (clamped to the last segment).
-        landing = bisect_left(self._seg_maxes, target, seg)
-        if landing >= len(self._seg_maxes):
-            landing = len(self._seg_maxes) - 1
-        if counter is not None:
-            counter.segments_skipped += landing - seg
-        landing_start = self._skip_starts[landing] if self._skip_starts else 0
-        scan_start = max(position, landing_start)
-        # The landing segment is the first whose max docid reaches the
-        # target, so the answer lies inside it (or is ``n`` when the
-        # target exceeds every docid).  Clamping the bisect to the
-        # segment keeps the probe decode-local for lazy columns: a skip
-        # touches exactly one block, never a binary search across the
-        # whole compressed list.
-        scan_end = min(n, landing_start + self.segment_size)
-        new_position = bisect_left(self.doc_ids, target, scan_start, scan_end)
-        if counter is not None:
-            counter.entries_scanned += new_position - scan_start
-        return new_position
+        cursor = PostingCursor(self)
+        return cursor.tf if cursor.seek(doc_id) == doc_id else None
 
     def overlapping_segments(self, other: "PostingList") -> int:
         """Count this list's segments whose docid range overlaps ``other``.
@@ -391,6 +331,123 @@ class PostingList:
             raise RuntimeError(
                 f"posting list for {self.term!r} must be frozen before reads"
             )
+
+
+# ``PostingCursor.doc`` once the cursor has passed the last entry: larger
+# than any int64 docid, so every target compares at or below it.
+END_OF_LIST = 1 << 63
+
+
+class PostingCursor:
+    """A forward cursor over one frozen posting list: the one seek
+    through its skip table.
+
+    :meth:`seek` is the access method the paper's cost model is written
+    against (Section 3.2.1): jump whole segments through the segment
+    max-docid column, then bisect inside the one landing segment.  On a
+    lazily decoded list a seek therefore decodes at most one block.
+    Cost accounting is the sequential merge's: one skipped segment per
+    skip-pointer jump, one scanned entry per entry passed over inside
+    the landing segment, and one per :meth:`advance`.  A target at or
+    below ``doc`` is free: the cursor never moves back.
+
+    ``doc`` is the current docid (:data:`END_OF_LIST` once exhausted),
+    ``pos`` its index, ``block`` the segment holding ``pos`` (``len //
+    M0`` once exhausted) and ``block_max_doc`` that segment's last docid.
+    The columns are captured when the cursor is made, so a cursor lives
+    for one query's read of one list.
+    """
+
+    __slots__ = (
+        "doc",
+        "pos",
+        "block",
+        "block_max_doc",
+        "_block_end",
+        "_ids",
+        "_tfs",
+        "_seg_maxes",
+        "_size",
+        "_n",
+    )
+
+    def __init__(self, plist: PostingList):
+        plist._require_frozen()
+        self._ids = plist.doc_ids
+        self._tfs = plist.tfs
+        self._seg_maxes = plist._seg_maxes
+        self._size = plist.segment_size
+        self._n = len(self._ids)
+        self.pos = self.block = 0
+        self._block_end = min(self._n, self._size)
+        if self._n:
+            # The skip table holds the first docid: no block is decoded
+            # until the cursor reads an entry.
+            self.doc = plist._seg_mins[0]
+            self.block_max_doc = self._seg_maxes[0]
+        else:
+            self.doc = self.block_max_doc = END_OF_LIST
+
+    @property
+    def tf(self) -> int:
+        """The tf of the current entry (the cursor must not be exhausted)."""
+        return self._tfs[self.pos]
+
+    def advance(self, counter: Optional[CostCounter] = None) -> int:
+        """Step to the next entry and return its docid."""
+        if counter is not None:
+            counter.entries_scanned += 1
+        pos = self.pos + 1
+        if pos >= self._n:
+            return self._exhaust()
+        self.pos = pos
+        doc = self.doc = self._ids[pos]
+        if doc > self.block_max_doc:
+            self.block += 1
+            self.block_max_doc = self._seg_maxes[self.block]
+            self._block_end = min(self._n, pos + self._size)
+        return doc
+
+    def seek(self, target: int, counter: Optional[CostCounter] = None) -> int:
+        """Move to the first entry with docid >= ``target``; return its
+        docid, or :data:`END_OF_LIST` when there is none."""
+        doc = self.doc
+        if target <= doc:
+            return doc
+        start = self.pos
+        if target > self.block_max_doc:
+            seg_maxes = self._seg_maxes
+            block = self.block
+            landing = bisect_left(seg_maxes, target, block + 1)
+            if landing == len(seg_maxes):
+                # Past the last docid: a merge would scan the rest of
+                # the last segment before running out.
+                landing -= 1
+                if counter is not None:
+                    counter.segments_skipped += landing - block
+                    counter.entries_scanned += self._n - max(
+                        start, landing * self._size
+                    )
+                return self._exhaust()
+            if counter is not None:
+                counter.segments_skipped += landing - block
+            self.block = landing
+            self.block_max_doc = seg_maxes[landing]
+            start = landing * self._size
+            self._block_end = min(self._n, start + self._size)
+        # The current segment's last docid reaches the target, so the
+        # bisect lands inside it.
+        pos = self.pos = bisect_left(self._ids, target, start, self._block_end)
+        if counter is not None:
+            counter.entries_scanned += pos - start
+        doc = self.doc = self._ids[pos]
+        return doc
+
+    def _exhaust(self) -> int:
+        self.pos = self._n
+        self.block = self._n // self._size
+        self.doc = self.block_max_doc = END_OF_LIST
+        return END_OF_LIST
 
 
 class LazyColumn:

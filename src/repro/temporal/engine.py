@@ -30,6 +30,7 @@ from ..core.statistics import (
 from ..errors import EmptyContextError, QueryError
 from ..index.inverted_index import InvertedIndex
 from ..index.searcher import BooleanSearcher
+from ..views.rewrite import rare_term_statistics
 from .attributes import NumericAttributeIndex
 from .views import TemporalView
 
@@ -177,7 +178,15 @@ class TemporalSearchEngine:
             leftovers = [s for s in specs if s not in values]
             if leftovers:
                 values.update(
-                    self._rare_term_statistics(query, leftovers, report)
+                    rare_term_statistics(
+                        self.index,
+                        query.predicates,
+                        leftovers,
+                        report.counter,
+                        lambda d: self.attributes.in_range(
+                            d, query.low, query.high
+                        ),
+                    )
                 )
                 report.resolution.rare_term_fallbacks = len(
                     {s.term for s in leftovers}
@@ -242,46 +251,3 @@ class TemporalSearchEngine:
             for d in doc_ids
             if self.attributes.in_range(d, query.low, query.high)
         ]
-
-    def _rare_term_statistics(
-        self,
-        query: TemporalContextQuery,
-        specs: Sequence[StatisticSpec],
-        report: ExecutionReport,
-    ) -> Dict[StatisticSpec, int]:
-        """Per-keyword df/tc by selective intersection + range probe."""
-        values: Dict[StatisticSpec, int] = {}
-        predicate_lists = [
-            self.index.predicate_postings(m) for m in query.predicates
-        ]
-        by_term: Dict[str, List[StatisticSpec]] = {}
-        for spec in specs:
-            if spec.kind not in (DOC_FREQUENCY, TERM_COUNT):
-                raise QueryError(
-                    f"cannot fall back for {spec.column_name()!r}"
-                )
-            by_term.setdefault(spec.term, []).append(spec)
-        for term, term_specs in by_term.items():
-            df = tc = 0
-            positions = [0] * len(predicate_lists)
-            for doc_id, tf in self.index.postings(term):
-                report.counter.entries_scanned += 1
-                if not self.attributes.in_range(doc_id, query.low, query.high):
-                    continue
-                in_all = True
-                for idx, plist in enumerate(predicate_lists):
-                    positions[idx] = plist.skip_to(
-                        positions[idx], doc_id, report.counter
-                    )
-                    if (
-                        positions[idx] >= len(plist.doc_ids)
-                        or plist.doc_ids[positions[idx]] != doc_id
-                    ):
-                        in_all = False
-                        break
-                if in_all:
-                    df += 1
-                    tc += tf
-            for spec in term_specs:
-                values[spec] = df if spec.kind == DOC_FREQUENCY else tc
-        return values

@@ -11,13 +11,13 @@ is short (``|L_w| < T_C`` bounds the work; skip pointers do the rest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.query import ContextQuery
 from ..core.statistics import DOC_FREQUENCY, TERM_COUNT, StatisticSpec
 from ..errors import QueryError
 from ..index.inverted_index import InvertedIndex
-from ..index.postings import CostCounter, PostingList
+from ..index.postings import CostCounter, PostingCursor, PostingList
 
 
 @dataclass
@@ -49,12 +49,33 @@ def compute_rare_term_statistics(
     Evaluates ``L_w ∩ L_m1 ∩ … ∩ L_mc`` starting from ``L_w`` (the most
     selective list by assumption) — the paper's example of why the
     ``L_m1 ∩ L_m2`` intersection need not be enforced in the plan when a
-    view already supplies the context-level statistics.
+    view already supplies the context-level statistics.  Work is bounded
+    by ``|L_w| · (1 + #predicates)`` entry touches plus skipped segments —
+    the ``|L_i| + |L_i| · M0`` regime of Section 3.2.2 — which is the
+    model cost charged.
 
     Only ``df``/``tc`` specs are accepted: other kinds have no
     selective-first shortcut and must go through views or the full plan.
     """
-    values: Dict[StatisticSpec, int] = {}
+    values = rare_term_statistics(index, query.predicates, specs, counter, None)
+    if counter is not None:
+        terms = {spec.term for spec in specs}
+        walked = sum(len(index.postings(term)) for term in terms)
+        counter.model_cost += walked * (1 + len(query.predicates))
+    return values
+
+
+def rare_term_statistics(
+    index: InvertedIndex,
+    predicates: Sequence[str],
+    specs: Sequence[StatisticSpec],
+    counter: Optional[CostCounter],
+    keep: Optional[Callable[[int], bool]],
+) -> Dict[StatisticSpec, int]:
+    """``df``/``tc`` per keyword by :func:`selective_intersection`, with
+    no model cost charged; ``keep`` (a docid test, such as the temporal
+    engine's range, or None) drops keyword postings before any predicate
+    probe."""
     by_term: Dict[str, List[StatisticSpec]] = {}
     for spec in specs:
         if spec.kind not in (DOC_FREQUENCY, TERM_COUNT):
@@ -62,11 +83,12 @@ def compute_rare_term_statistics(
                 f"rare-term fallback cannot compute {spec.column_name()!r}"
             )
         by_term.setdefault(spec.term, []).append(spec)
-
-    predicate_lists = [index.predicate_postings(m) for m in query.predicates]
+    predicate_lists = [index.predicate_postings(m) for m in predicates]
+    values: Dict[StatisticSpec, int] = {}
     for term, term_specs in by_term.items():
-        keyword_list = index.postings(term)
-        matched = _selective_intersection(keyword_list, predicate_lists, counter)
+        matched = selective_intersection(
+            index.postings(term), predicate_lists, counter, keep
+        )
         df = len(matched)
         tc = sum(tf for _, tf in matched)
         for spec in term_specs:
@@ -74,33 +96,27 @@ def compute_rare_term_statistics(
     return values
 
 
-def _selective_intersection(
+def selective_intersection(
     keyword_list: PostingList,
     predicate_lists: Sequence[PostingList],
     counter: Optional[CostCounter],
+    keep: Optional[Callable[[int], bool]],
 ) -> List[Tuple[int, int]]:
-    """Walk the keyword list, skipping through each predicate list.
+    """Walk the keyword list, seeking one forward cursor per predicate list.
 
-    Returns matched ``(docid, tf)`` pairs.  Work is bounded by
-    ``|L_w| · (1 + #predicates)`` entry touches plus skipped segments —
-    the ``|L_i| + |L_i| · M0`` regime of Section 3.2.2.
+    Returns matched ``(docid, tf)`` pairs; every keyword posting walked
+    is charged as one scanned entry, and the cursors charge their seeks.
     """
-    positions = [0] * len(predicate_lists)
+    cursors = [PostingCursor(plist) for plist in predicate_lists]
     matched: List[Tuple[int, int]] = []
     for doc_id, tf in keyword_list:
         if counter is not None:
             counter.entries_scanned += 1
-        in_all = True
-        for idx, plist in enumerate(predicate_lists):
-            positions[idx] = plist.skip_to(positions[idx], doc_id, counter)
-            if (
-                positions[idx] >= len(plist.doc_ids)
-                or plist.doc_ids[positions[idx]] != doc_id
-            ):
-                in_all = False
+        if keep is not None and not keep(doc_id):
+            continue
+        for cursor in cursors:
+            if cursor.seek(doc_id, counter) != doc_id:
                 break
-        if in_all:
+        else:
             matched.append((doc_id, tf))
-    if counter is not None:
-        counter.model_cost += len(keyword_list) * (1 + len(predicate_lists))
     return matched

@@ -157,8 +157,9 @@ class TestIntersectIdsWithTfs:
     def test_matches_and_tc(self, ids, plist_ids):
         doc_ids = array("q", plist_ids)
         tfs = array("q", [i % 7 + 1 for i in range(len(plist_ids))])
+        plist = PostingList.from_arrays("w", doc_ids, tfs, segment_size=4)
         matched, tc = intersect_ids_with_tfs(
-            ids, doc_ids, tfs, 4, CostCounter(), want_tc=True
+            ids, plist, CostCounter(), want_tc=True
         )
         expected = sorted(set(ids) & set(plist_ids))
         assert list(matched) == expected
@@ -169,6 +170,7 @@ class TestIntersectIdsWithTfs:
     def test_tc_skipped_unless_requested(self):
         doc_ids = array("q", [1, 2, 3])
         tfs = array("q", [5, 6, 7])
-        matched, tc = intersect_ids_with_tfs([1, 3], doc_ids, tfs, 4)
+        plist = PostingList.from_arrays("w", doc_ids, tfs, segment_size=4)
+        matched, tc = intersect_ids_with_tfs([1, 3], plist)
         assert list(matched) == [1, 3]
         assert tc == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.postings import CostCounter, PostingList
+from repro.index.postings import CostCounter, PostingCursor, PostingList
 
 
 def make_list(ids, segment_size=4):
@@ -94,10 +94,14 @@ class TestLookups:
         assert plist.tf_for(4) == 7
         assert plist.tf_for(2) is None
 
+    # The skip-to cases run on PostingCursor.seek, the one skip-table seek.
+
     @given(sorted_ids, st.integers(min_value=0, max_value=10_000))
     def test_skip_to_finds_first_geq(self, ids, target):
         plist = make_list(ids, segment_size=3)
-        pos = plist.skip_to(0, target, None)
+        cursor = PostingCursor(plist)
+        cursor.seek(target)
+        pos = cursor.pos
         # Everything before pos is < target; pos itself is >= target.
         assert all(doc_id < target for doc_id in ids[:pos])
         if pos < len(ids):
@@ -106,14 +110,17 @@ class TestLookups:
     def test_skip_to_counts_skipped_segments(self):
         plist = make_list(list(range(100)), segment_size=10)
         counter = CostCounter()
-        plist.skip_to(0, 95, counter)
+        PostingCursor(plist).seek(95, counter)
         assert counter.segments_skipped >= 8
 
     def test_skip_to_from_midpoint(self):
         ids = list(range(0, 60, 3))
         plist = make_list(ids, segment_size=4)
-        pos = plist.skip_to(5, 45, None)
-        assert ids[pos] == 45
+        cursor = PostingCursor(plist)
+        cursor.seek(ids[5])
+        assert cursor.pos == 5
+        cursor.seek(45)
+        assert ids[cursor.pos] == 45
 
 
 class TestOverlap:

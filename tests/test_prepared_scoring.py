@@ -159,8 +159,9 @@ class TestForwardTfWalk:
         ]
         plist = PostingList.from_pairs("w", pairs, segment_size=segment_size)
         probes.sort()
+        tf_of = dict(pairs)
         assert _tf_column(plist, probes) == [
-            plist.tf_for(doc_id) or 0 for doc_id in probes
+            tf_of.get(doc_id, 0) for doc_id in probes
         ]
 
 

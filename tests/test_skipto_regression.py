@@ -1,18 +1,30 @@
-"""Regression test: skip_to with an exhausted cursor on segment-aligned lists.
+"""Regression test: seeking an exhausted cursor on segment-aligned lists.
 
 Found by the full reproduction runner: when a posting list's length is an
-exact multiple of the segment size, calling ``skip_to`` with
-``position == len(list)`` computed a segment index one past the skip
-table and crashed.  The fixture reproduces the original failing shape
-(cursor walked to the end by a prior selective intersection, then asked
-to advance again).
+exact multiple of the segment size, advancing a cursor already at
+``len(list)`` computed a segment index one past the skip table and
+crashed.  The fixture reproduces the original failing shape (cursor
+walked to the end by a prior selective intersection, then asked to
+advance again).  The cases run on :class:`PostingCursor`, the one
+skip-table seek.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.postings import PostingList
+from repro.index.postings import END_OF_LIST, CostCounter, PostingCursor, PostingList
+
+
+def cursor_at(plist, position):
+    """A cursor on ``plist`` moved to ``position`` (``len`` = exhausted)."""
+    cursor = PostingCursor(plist)
+    if position < len(plist):
+        cursor.seek(plist.doc_ids[position])
+    else:
+        cursor.seek(END_OF_LIST)
+    assert cursor.pos == position
+    return cursor
 
 
 class TestExhaustedCursor:
@@ -22,17 +34,25 @@ class TestExhaustedCursor:
             "t", [(i, 1) for i in range(length)], segment_size=4
         )
         # Cursor at the very end; any further target must be a no-op.
-        assert plist.skip_to(length, 10**9, None) == length
+        cursor = cursor_at(plist, length)
+        counter = CostCounter()
+        assert cursor.seek(10**9, counter) == END_OF_LIST
+        assert cursor.pos == length
+        assert counter == CostCounter()
 
     def test_unaligned_length(self):
         plist = PostingList.from_pairs(
             "t", [(i, 1) for i in range(10)], segment_size=4
         )
-        assert plist.skip_to(10, 99, None) == 10
+        cursor = cursor_at(plist, 10)
+        cursor.seek(99)
+        assert cursor.pos == 10
 
     def test_empty_list(self):
         plist = PostingList.from_pairs("t", [], segment_size=4)
-        assert plist.skip_to(0, 5, None) == 0
+        cursor = PostingCursor(plist)
+        assert cursor.seek(5) == END_OF_LIST
+        assert cursor.pos == 0
 
     @given(
         length=st.integers(min_value=0, max_value=200),
@@ -44,7 +64,9 @@ class TestExhaustedCursor:
             "t", [(i * 2, 1) for i in range(length)], segment_size=4
         )
         position = min(position, length)  # valid cursor positions
-        new_position = plist.skip_to(position, target, None)
+        cursor = cursor_at(plist, position)
+        cursor.seek(target)
+        new_position = cursor.pos
         assert position <= new_position <= length
         # Everything passed over is below the target...
         assert all(doc_id < target for doc_id in plist.doc_ids[position:new_position])
@@ -54,11 +76,11 @@ class TestExhaustedCursor:
 
     def test_original_failure_shape(self):
         """The selective-intersection pattern that triggered the crash."""
-        from repro.views.rewrite import _selective_intersection
+        from repro.views.rewrite import selective_intersection
 
         predicate = PostingList.from_pairs(
             "m", [(i, 1) for i in range(64)], segment_size=64
         )
         keyword = PostingList.from_pairs("w", [(63, 1), (100, 2)])
-        matched = _selective_intersection(keyword, [predicate], None)
+        matched = selective_intersection(keyword, [predicate], None, None)
         assert matched == [(63, 1)]

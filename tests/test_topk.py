@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import BM25, DirichletLanguageModel, PivotedNormalizationTFIDF
 from repro.core.topk import (
     MaxScoreScorer,
-    PredicateMembership,
     TopKDiagnostics,
     exhaustive_disjunctive,
 )
@@ -78,12 +77,11 @@ class TestEquivalenceWithExhaustive:
             corpus_index.predicate_vocabulary,
             key=corpus_index.predicate_frequency,
         )
-        membership = PredicateMembership(corpus_index, [predicate])
         collection_stats = stats(keywords)
         ranking = BM25()
         pruned = MaxScoreScorer(
             corpus_index, keywords, collection_stats, ranking,
-            context_filter=membership,
+            predicates=[predicate],
         ).top_k(10)
         reference = exhaustive_disjunctive(
             corpus_index, keywords, collection_stats, ranking, 10,
