@@ -4,7 +4,7 @@ Generates a corpus and a TREC-Genomics-style topic set, evaluates every
 topic under conventional and context-sensitive ranking, and prints the
 per-topic precision@20 / reciprocal-rank series plus the summary the
 paper quotes.  For the full-scale version, run
-``pytest benchmarks/bench_figure6_quality.py --benchmark-only``.
+``python examples/reproduce_paper.py --full`` (Figure 6 is its E1).
 
 Run:  python examples/ranking_quality_experiment.py
 """

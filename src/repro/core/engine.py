@@ -106,7 +106,6 @@ class ContextSearchEngine:
         index: InvertedIndex,
         ranking: Optional[RankingFunction] = None,
         catalog: Optional["ViewCatalog"] = None,
-        use_skips: bool = True,
     ):
         from .sharded_engine import ShardRuntime
 
@@ -114,17 +113,11 @@ class ContextSearchEngine:
             raise QueryError("index must be committed before searching")
         self.index = index
         self.ranking = ranking if ranking is not None else DEFAULT_RANKING_FUNCTION
-        self.use_skips = use_skips
         # The runtime owns the optimizer, the operators and the one
         # swappable catalog handle they share: swapping the handle is
         # the adaptive-selection hot-swap.
-        self.runtime = ShardRuntime(index, self.ranking, catalog, use_skips)
-        # Plain aliases of the runtime's pieces (wrappers, tests and
-        # benchmarks read them; ``_plan`` plans through ``self.optimizer``,
-        # so assigning a different optimizer here redirects planning).
+        self.runtime = ShardRuntime(index, self.ranking, catalog)
         self.catalog_handle = self.runtime.catalog_handle
-        self.optimizer = self.runtime.optimizer
-        self.searcher = self.runtime.searcher
         self.plan = self.runtime.plan
         # Provenance of the most recent catalog install (reselection
         # pass summary) — surfaced by healthz/info alongside the
@@ -441,7 +434,9 @@ class ContextSearchEngine:
     ) -> ExplainedPlan:
         """Plan on the runtime's optimizer and bind the plan to the
         report.  An infeasible forced path raises :class:`QueryError`."""
-        plan = self.optimizer.plan(query, specs, mode=mode, force=path)
+        plan = self.runtime.optimizer.plan(
+            query, specs, mode=mode, force=path
+        )
         report.plan = plan
         plan.actual = report.counter
         return plan
@@ -517,7 +512,6 @@ class SharedContextStore:
         self,
         index: InvertedIndex,
         predicates: Tuple[str, ...],
-        use_skips: bool = True,
     ) -> Tuple[List[int], CostCounter]:
         """The context's docids plus the recorded materialisation cost."""
         with self._registry_lock:
@@ -529,7 +523,6 @@ class SharedContextStore:
                 context_ids = intersect_many(
                     [index.predicate_postings(m) for m in predicates],
                     counter,
-                    use_skips=use_skips,
                 )
                 entry = (context_ids, counter)
                 self._entries[predicates] = entry

@@ -77,9 +77,9 @@ class SelectiveFirstIntersect:
     materialisation cannot (Section 3.1).
     """
 
-    def __init__(self, index: InvertedIndex, use_skips: bool = True):
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.searcher = BooleanSearcher(index, use_skips=use_skips)
+        self.searcher = BooleanSearcher(index)
 
     def run(
         self,
@@ -114,16 +114,11 @@ class ViewScan:
     through :class:`SelectiveFirstIntersect`.
     """
 
-    def __init__(
-        self,
-        catalog,
-        index: InvertedIndex,
-        use_skips: bool = True,
-    ):
+    def __init__(self, catalog, index: InvertedIndex):
         from ..views.handle import CatalogHandle
 
         self.handle = CatalogHandle.ensure(catalog)
-        self.fallback = SelectiveFirstIntersect(index, use_skips=use_skips)
+        self.fallback = SelectiveFirstIntersect(index)
 
     @property
     def catalog(self) -> Optional[ViewCatalog]:
@@ -170,23 +165,21 @@ class ContextMaterialise:
     per-query accounting equals standalone execution.
     """
 
-    def __init__(self, index: InvertedIndex, use_skips: bool = True):
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.use_skips = use_skips
 
     def run(
         self, ctx: ExecutionContext, predicates: Sequence[str]
     ) -> List[int]:
         if ctx.shared_contexts is not None:
             context_ids, recorded = ctx.shared_contexts.materialise(
-                self.index, predicates, use_skips=self.use_skips
+                self.index, predicates
             )
             ctx.counter.merge(recorded)
             return context_ids
         return intersect_many(
             [self.index.predicate_postings(m) for m in predicates],
             ctx.counter,
-            use_skips=self.use_skips,
         )
 
 
@@ -199,9 +192,9 @@ class StraightforwardResolve:
     statistics with the unranked result as a by-product.
     """
 
-    def __init__(self, index: InvertedIndex, use_skips: bool = True):
-        self.materialise = ContextMaterialise(index, use_skips=use_skips)
-        self.plan = StraightforwardPlan(index, use_skips=use_skips)
+    def __init__(self, index: InvertedIndex):
+        self.materialise = ContextMaterialise(index)
+        self.plan = StraightforwardPlan(index)
 
     def run(
         self,
@@ -321,9 +314,8 @@ class SegmentStatsResolve:
     (:meth:`repro.lifecycle.snapshot.Snapshot.partitions`).
     """
 
-    def __init__(self, snapshot, use_skips: bool = True):
+    def __init__(self, snapshot):
         self.snapshot = snapshot
-        self.use_skips = use_skips
 
     def run(
         self,
@@ -338,7 +330,7 @@ class SegmentStatsResolve:
         context_size = 0
         matched = False
         for view in self.snapshot.partitions():
-            plan = StraightforwardPlan(view, use_skips=self.use_skips)
+            plan = StraightforwardPlan(view)
             try:
                 execution = plan.execute(query, specs, ctx.counter)
             except EmptyContextError:

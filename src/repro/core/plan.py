@@ -75,9 +75,8 @@ def _intersect_with_context(
 class StraightforwardPlan:
     """Figure 3 evaluated directly over the inverted index."""
 
-    def __init__(self, index: InvertedIndex, use_skips: bool = True):
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.use_skips = use_skips
 
     def execute(
         self,
@@ -109,9 +108,7 @@ class StraightforwardPlan:
             predicate_lists = [
                 self.index.predicate_postings(m) for m in query.predicates
             ]
-            context_ids = intersect_many(
-                predicate_lists, counter, use_skips=self.use_skips
-            )
+            context_ids = intersect_many(predicate_lists, counter)
         if not context_ids:
             raise EmptyContextError(
                 f"context {query.context} matches no documents"

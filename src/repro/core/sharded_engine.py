@@ -159,7 +159,6 @@ class ShardRuntime:
         shard: Union[IndexShard, InvertedIndex],
         ranking: RankingFunction,
         catalog: Optional[ViewCatalog],
-        use_skips: bool = True,
     ):
         from ..views.handle import CatalogHandle
 
@@ -178,16 +177,10 @@ class ShardRuntime:
         # both with a single assignment.
         self.catalog_handle = CatalogHandle.ensure(catalog)
         self.optimizer = Optimizer(index, self.catalog_handle)
-        self._op_conjunction = SelectiveFirstIntersect(index, use_skips=use_skips)
-        self._op_view_scan = ViewScan(
-            self.catalog_handle, index, use_skips=use_skips
-        )
-        self._op_straightforward = StraightforwardResolve(
-            index, use_skips=use_skips
-        )
+        self._op_conjunction = SelectiveFirstIntersect(index)
+        self._op_view_scan = ViewScan(self.catalog_handle, index)
+        self._op_straightforward = StraightforwardResolve(index)
         self._op_topk = MaxScoreTopK(index, ranking)
-        # Back-compat handles (diagnostics and older call sites).
-        self.searcher = self._op_conjunction.searcher
         self.plan = self._op_straightforward.plan
         self._stash: Dict[int, Tuple[Tuple[str, ...], List[int]]] = {}
         self._tc_cache: Dict[str, Tuple[int, int]] = {}
@@ -1127,7 +1120,6 @@ class ShardedEngine:
         catalogs: Optional[Sequence[Optional[ViewCatalog]]] = None,
         executor: str = "auto",
         max_workers: Optional[int] = None,
-        use_skips: bool = True,
     ):
         if not sharded_index.committed:
             raise QueryError("all shards must be committed before searching")
@@ -1142,7 +1134,6 @@ class ShardedEngine:
                 shard,
                 self.ranking,
                 catalogs[i] if catalogs is not None else None,
-                use_skips=use_skips,
             )
             for i, shard in enumerate(sharded_index.shards)
         ]

@@ -1,9 +1,8 @@
 """Programmatic paper reproduction: run E1–E7 and render EXPERIMENTS.md.
 
-The benchmark harness (``pytest benchmarks/``) measures with
-pytest-benchmark; this package is the library-level equivalent — build
-one :class:`ExperimentStack`, run each experiment as a function, and get
-structured results plus a Markdown report::
+Build one :class:`ExperimentStack`, run each experiment as a function,
+and get structured results plus a Markdown report
+(``examples/reproduce_paper.py`` drives exactly this)::
 
     from repro.experiments import ExperimentConfig, run_all, write_report
 

@@ -64,8 +64,7 @@ class ExperimentReport:
             "absolute numbers, which depend on the authors' 18 M-document "
             "corpus and 2011 testbed.\n"
         )
-        add("Regenerate with `python examples/reproduce_paper.py --full` ")
-        add("or, with timing distributions, `pytest benchmarks/ --benchmark-only`.\n")
+        add("Regenerate with `python examples/reproduce_paper.py --full`.\n")
 
         add("## Setup\n")
         add(

@@ -56,7 +56,6 @@ class LifecycleEngine:
         num_shards: int = 0,
         partitioner: str = "hash",
         executor: str = "serial",
-        use_skips: bool = True,
     ):
         self.index = index
         self.ranking = ranking
@@ -64,7 +63,6 @@ class LifecycleEngine:
         self.num_shards = num_shards
         self.partitioner = partitioner
         self.executor = executor
-        self.use_skips = use_skips
         self._lock = threading.RLock()
         self._engine = None
         self._engine_version: Optional[int] = None
@@ -212,10 +210,7 @@ class LifecycleEngine:
                 engine = self._build_sharded(snapshot)
             else:
                 engine = ContextSearchEngine(
-                    snapshot,
-                    ranking=self.ranking,
-                    catalog=self.catalog,
-                    use_skips=self.use_skips,
+                    snapshot, ranking=self.ranking, catalog=self.catalog
                 )
             self._engine = engine
             self._engine_version = snapshot.version
@@ -243,7 +238,6 @@ class LifecycleEngine:
             ranking=self.ranking,
             catalogs=catalogs,
             executor=self.executor,
-            use_skips=self.use_skips,
         )
 
     def close(self) -> None:
@@ -334,7 +328,7 @@ class LifecycleEngine:
         ] or ["__none__"]
         probe = ContextQuery(KeywordQuery(analyzed), context)
         specs = engine.ranking.required_collection_specs(analyzed)
-        resolve = SegmentStatsResolve(engine.index, use_skips=self.use_skips)
+        resolve = SegmentStatsResolve(engine.index)
         try:
             execution = resolve.run(ExecutionContext(), probe, specs)
         except QueryError:

@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..errors import IndexError_, StorageError
+from ..errors import IndexError_
 from ..index.analysis import Analyzer, KeywordAnalyzer
 from ..index.documents import Document, StoredDocument
 from ..index.inverted_index import (
@@ -144,7 +144,6 @@ class SegmentedIndex:
         analyzer: Optional[Analyzer] = None,
         predicate_analyzer: Optional[Analyzer] = None,
         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
-        storage_format: int = SEGMENT_FORMAT_VERSION,
     ) -> "SegmentedIndex":
         """Open (or create) a segmented index directory.
 
@@ -154,14 +153,7 @@ class SegmentedIndex:
         paths, which reproduces the pre-crash memtable and tombstones
         bit-identically.  Analyzer arguments matter only for a fresh or
         replayed corpus and must match what built the directory.
-        Segments are written as v4 block files only; ``storage_format``
-        is validated and any other value is a :class:`StorageError`.
         """
-        if storage_format != SEGMENT_FORMAT_VERSION:
-            raise StorageError(
-                f"cannot write segment format {storage_format!r} "
-                f"(segments are written as format {SEGMENT_FORMAT_VERSION})"
-            )
         storage = SegmentStorage(directory)
         state = storage.load()
         if state is None:

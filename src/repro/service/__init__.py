@@ -13,8 +13,8 @@ and :class:`~repro.core.sharded_engine.ShardedEngine`:
   degradation, per-request deadlines;
 * :mod:`~repro.service.result_cache` — epoch-guarded LRU of full results;
 * :mod:`~repro.service.metrics` — qps/latency/batch-shape counters;
-* :mod:`~repro.service.loadgen` — the closed-loop load generator used by
-  ``bench-serve`` and ``benchmarks/bench_serving.py``;
+* :mod:`~repro.service.loadgen` — the closed-loop load generator behind
+  ``bench-serve``;
 * :mod:`~repro.service.workload` — the bounded, decayed recorder turning
   served queries into selector input;
 * :mod:`~repro.service.adaptive` — the background controller that

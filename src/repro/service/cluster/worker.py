@@ -231,15 +231,13 @@ def worker_service_factory(shard: IndexShard, artifact: Optional[Path] = None):
     ``factory(engine, config)`` takes the server's flat engine over
     ``shard.index`` (it answers plain ``query`` ops) and builds the
     shard's :class:`ShardRuntime` — the same per-partition evaluator the
-    in-process backends drive — over that engine's catalog handle,
-    ranking and ``use_skips``.  One handle, so an ``install_catalog`` op
-    swaps the runtime's and the flat engine's catalog at one point.
+    in-process backends drive — over that engine's catalog handle and
+    ranking.  One handle, so an ``install_catalog`` op swaps the
+    runtime's and the flat engine's catalog at one point.
     """
 
     def factory(engine, config):
-        runtime = ShardRuntime(
-            shard, engine.ranking, engine.catalog_handle, engine.use_skips
-        )
+        runtime = ShardRuntime(shard, engine.ranking, engine.catalog_handle)
         return ShardWorkerService(
             engine, config, runtime=runtime, artifact=artifact
         )
@@ -253,12 +251,9 @@ def worker_thread(
     ranking: Optional[RankingFunction] = None,
     catalog=None,
     artifact: Optional[Path] = None,
-    use_skips: bool = True,
 ) -> ServerThread:
     """A ready-to-start shard worker on a background thread (tests, CLI)."""
-    engine = ContextSearchEngine(
-        shard.index, ranking, catalog=catalog, use_skips=use_skips
-    )
+    engine = ContextSearchEngine(shard.index, ranking, catalog=catalog)
     return ServerThread(
         engine,
         config,

@@ -3,10 +3,9 @@
 ``run_load`` drives a running server with N client threads, each holding
 its own :class:`~repro.service.protocol.ServiceClient` connection and
 issuing queries back-to-back (a closed loop: concurrency == thread
-count).  It is the measurement half of ``bench-serve`` and of
-``benchmarks/bench_serving.py`` — throughput and latency percentiles
-come from here, correctness cross-checks (bit-identical rankings vs
-serial execution) from the callers.
+count).  It is the measurement half of ``bench-serve`` — throughput
+and latency percentiles come from here, correctness cross-checks
+(bit-identical rankings vs serial execution) from the callers.
 
 ``address`` may also be a *list* of endpoints — e.g. several routers in
 front of the same cluster, or a router plus a single-node fallback —

@@ -9,11 +9,11 @@ both artefacts:
   :mod:`repro.index.blockstore`): delta-encoded bit-packed posting
   blocks behind an mmap, a fixed-width term dictionary, and per-block
   skip/max-tf metadata, so a cold open reads only header + dictionaries
-  and queries decode just the blocks they touch.  The library writer's
-  ``format=3`` still writes the JSON layout (precompiled posting columns
-  as base64-packed little-endian int64), and version-3/2/1 payloads all
-  load; the v2/v3 posting columns of flat files and of legacy JSON
-  lifecycle segments decode through one :func:`decode_posting_columns`;
+  and queries decode just the blocks they touch.  Version-3/2/1 JSON
+  payloads, written by earlier releases, all still load; the v2/v3
+  posting columns (base64-packed little-endian int64) of flat files and
+  of legacy JSON lifecycle segments decode through one
+  :func:`decode_posting_columns`;
 * **catalogs** and raw documents persist as versioned JSON — loading a
   catalog is O(total tuples), no corpus access required.
 
@@ -60,8 +60,6 @@ __all__ = [
     "StorageError",
     "encode_column",
     "decode_column",
-    "encode_tokens",
-    "decode_tokens",
     "LazyTokenFields",
     "save_documents",
     "load_documents",
@@ -98,28 +96,6 @@ def decode_column(text: str) -> array:
     if sys.byteorder != "little":
         column.byteswap()
     return column
-
-
-def encode_tokens(tokens: List[str]) -> Union[str, List[str]]:
-    """Pack a token list as one space-joined string when that round-trips.
-
-    At collection scale the dominant load cost is materialising millions
-    of small token strings out of JSON; a single joined string parses as
-    one token and ``str.split`` rebuilds the list in C.  Tokens that are
-    empty or contain a space cannot round-trip through the join, so such
-    lists fall back to the plain JSON-array form — the decoder accepts
-    both shapes.
-    """
-    if all(token and " " not in token for token in tokens):
-        return " ".join(tokens)
-    return list(tokens)
-
-
-def decode_tokens(value: Union[str, List[str]]) -> List[str]:
-    """Inverse of :func:`encode_tokens`."""
-    if isinstance(value, str):
-        return value.split(" ") if value else []
-    return list(value)
 
 
 class LazyTokenFields(dict):
@@ -268,43 +244,6 @@ def load_documents(path: PathLike) -> List[Document]:
 # -- indexes -----------------------------------------------------------------
 
 
-def _encode_index(index: InvertedIndex) -> dict:
-    if not index.committed:
-        raise StorageError("only committed indexes can be saved")
-    return {
-        "kind": "index",
-        "version": _JSON_VERSION,
-        "searchable_fields": list(index.searchable_fields),
-        "predicate_field": index.predicate_field,
-        "segment_size": index.segment_size,
-        "documents": [
-            {
-                "external_id": doc.external_id,
-                "field_tokens": {
-                    name: encode_tokens(tokens)
-                    for name, tokens in doc.field_tokens.items()
-                },
-                "length": doc.length,
-                "unique_terms": doc.unique_terms,
-            }
-            for doc in index.store
-        ],
-        "content": {
-            term: [
-                encode_column(plist.doc_ids),
-                encode_column(plist.tfs),
-                plist.max_tf,
-                encode_column(plist.block_max_tfs),
-            ]
-            for term, plist in index.content_items()
-        },
-        "predicates": {
-            term: encode_column(plist.doc_ids)
-            for term, plist in index.predicate_items()
-        },
-    }
-
-
 def _decode_index_v1(payload: dict) -> InvertedIndex:
     """Legacy decode: re-accumulate postings from the stored tokens."""
     index = InvertedIndex(
@@ -388,43 +327,35 @@ def _decode_index(payload: dict, version: int = FORMAT_VERSION) -> InvertedIndex
     )
 
 
-def _index_config(index: InvertedIndex) -> dict:
-    return {
-        "searchable_fields": list(index.searchable_fields),
-        "predicate_field": index.predicate_field,
-        "segment_size": index.segment_size,
-    }
-
-
-def save_index(
-    index: InvertedIndex, path: PathLike, format: int = FORMAT_VERSION
+def _write_index_file(
+    path: Path, index: InvertedIndex, global_ids=None
 ) -> None:
+    """Write one index (a shard's with its ``global_ids``) as v4."""
+    blockstore.write_block_file(
+        path,
+        kind="index",
+        config={
+            "searchable_fields": list(index.searchable_fields),
+            "predicate_field": index.predicate_field,
+            "segment_size": index.segment_size,
+        },
+        segment_size=index.segment_size,
+        documents=list(index.store),
+        content=dict(index.content_items()),
+        predicates=dict(index.predicate_items()),
+        global_ids=global_ids,
+    )
+
+
+def save_index(index: InvertedIndex, path: PathLike) -> None:
     """Persist a committed index (configuration + analysed documents).
 
-    ``format=4`` (the default) writes the binary block layout —
-    mmap-friendly, so it is stored raw even when ``path`` ends in
-    ``.gz``.  ``format=3`` writes the legacy JSON layout (gzipped for
-    ``.gz`` paths).
+    Writes the binary block layout (format 4) — mmap-friendly, so it is
+    stored raw even when ``path`` ends in ``.gz``.
     """
-    path = Path(path)
-    if format == 4:
-        if not index.committed:
-            raise StorageError("only committed indexes can be saved")
-        blockstore.write_block_file(
-            path,
-            kind="index",
-            config=_index_config(index),
-            segment_size=index.segment_size,
-            documents=list(index.store),
-            content=dict(index.content_items()),
-            predicates=dict(index.predicate_items()),
-        )
-        return
-    if format != 3:
-        raise StorageError(
-            f"cannot write index format {format!r} (writable formats: 3, 4)"
-        )
-    _write_payload(path, _encode_index(index))
+    if not index.committed:
+        raise StorageError("only committed indexes can be saved")
+    _write_index_file(Path(path), index)
 
 
 def _index_from_block_reader(reader: "blockstore.BlockFile") -> InvertedIndex:
@@ -496,44 +427,33 @@ def _shard_file_name(manifest_name: str, shard_id: int) -> str:
 def save_sharded_index(
     sharded_index, path: PathLike, format: int = FORMAT_VERSION
 ) -> None:
-    """Persist a sharded index: a manifest plus one file per shard.
+    """Persist a sharded index: a JSON manifest plus one file per shard.
 
-    The manifest (at ``path``) stays JSON in every format and records
-    the partitioner and the shard file names *relative to its own
-    directory*, so the whole set of files can be moved together.  Each
-    shard file is an ordinary index artefact (readable by
-    :func:`load_index`, which ignores the extra global-id column)
-    enriched with the shard's local→global docid map.
+    The manifest (at ``path``) records the partitioner and the shard
+    file names *relative to its own directory*, so the whole set of
+    files can be moved together.  Each shard file is an ordinary v4
+    index artefact (readable by :func:`load_index`, which ignores the
+    extra global-id column) enriched with the shard's local→global
+    docid map.  ``format`` accepts only 4, the one writable format.
     """
     path = Path(path)
-    if format not in (3, 4):
+    if format != FORMAT_VERSION:
         raise StorageError(
-            f"cannot write index format {format!r} (writable formats: 3, 4)"
+            f"cannot write index format {format!r} "
+            f"(the writable format is {FORMAT_VERSION})"
         )
     shard_entries = []
     for shard in sharded_index.shards:
         shard_name = _shard_file_name(path.name, shard.shard_id)
-        if format == 4:
-            blockstore.write_block_file(
-                path.parent / shard_name,
-                kind="index",
-                config=_index_config(shard.index),
-                segment_size=shard.index.segment_size,
-                documents=list(shard.index.store),
-                content=dict(shard.index.content_items()),
-                predicates=dict(shard.index.predicate_items()),
-                global_ids=shard.global_ids,
-            )
-        else:
-            payload = _encode_index(shard.index)
-            payload["global_ids"] = list(shard.global_ids)
-            _write_payload(path.parent / shard_name, payload)
+        _write_index_file(
+            path.parent / shard_name, shard.index, shard.global_ids
+        )
         shard_entries.append(
             {"file": shard_name, "num_docs": shard.index.num_docs}
         )
     manifest = {
         "kind": "sharded_index",
-        "version": format,
+        "version": FORMAT_VERSION,
         "partitioner": {
             "name": sharded_index.partitioner.name,
             "num_shards": sharded_index.partitioner.num_shards,

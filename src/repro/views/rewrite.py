@@ -57,12 +57,7 @@ def compute_rare_term_statistics(
     Only ``df``/``tc`` specs are accepted: other kinds have no
     selective-first shortcut and must go through views or the full plan.
     """
-    values = rare_term_statistics(index, query.predicates, specs, counter, None)
-    if counter is not None:
-        terms = {spec.term for spec in specs}
-        walked = sum(len(index.postings(term)) for term in terms)
-        counter.model_cost += walked * (1 + len(query.predicates))
-    return values
+    return rare_term_statistics(index, query.predicates, specs, counter, None)
 
 
 def rare_term_statistics(
@@ -72,10 +67,10 @@ def rare_term_statistics(
     counter: Optional[CostCounter],
     keep: Optional[Callable[[int], bool]],
 ) -> Dict[StatisticSpec, int]:
-    """``df``/``tc`` per keyword by :func:`selective_intersection`, with
-    no model cost charged; ``keep`` (a docid test, such as the temporal
-    engine's range, or None) drops keyword postings before any predicate
-    probe."""
+    """``df``/``tc`` per keyword by :func:`selective_intersection`,
+    charging ``|L_w| · (1 + #predicates)`` model cost per keyword walked;
+    ``keep`` (a docid test, such as the temporal engine's range, or None)
+    drops keyword postings before any predicate probe."""
     by_term: Dict[str, List[StatisticSpec]] = {}
     for spec in specs:
         if spec.kind not in (DOC_FREQUENCY, TERM_COUNT):
@@ -86,9 +81,12 @@ def rare_term_statistics(
     predicate_lists = [index.predicate_postings(m) for m in predicates]
     values: Dict[StatisticSpec, int] = {}
     for term, term_specs in by_term.items():
+        keyword_list = index.postings(term)
         matched = selective_intersection(
-            index.postings(term), predicate_lists, counter, keep
+            keyword_list, predicate_lists, counter, keep
         )
+        if counter is not None:
+            counter.model_cost += len(keyword_list) * (1 + len(predicates))
         df = len(matched)
         tc = sum(tf for _, tf in matched)
         for spec in term_specs:

@@ -96,6 +96,18 @@ def corpus_index(corpus) -> InvertedIndex:
 
 
 @pytest.fixture(scope="session")
+def corpus42():
+    """A second corpus of the same size (seed 42), on which the v4
+    density budget and the adaptive drift study are stated."""
+    return generate_corpus(CorpusConfig(num_docs=1500, seed=42))
+
+
+@pytest.fixture(scope="session")
+def corpus42_index(corpus42) -> InvertedIndex:
+    return corpus42.build_index()
+
+
+@pytest.fixture(scope="session")
 def corpus_engine(corpus_index) -> ContextSearchEngine:
     return ContextSearchEngine(corpus_index)
 

@@ -208,13 +208,6 @@ class TestLifecyclePipeline:
         ]) == 0
         assert "context-sensitive results" in capsys.readouterr().out
 
-    def test_only_v4_segments_are_writable(self, tmp_path):
-        from repro.lifecycle import SegmentedIndex
-        from repro.storage import StorageError
-
-        with pytest.raises(StorageError, match="format 3"):
-            SegmentedIndex.open(tmp_path / "idx.d", storage_format=3)
-
 
 class TestServing:
     """The serve/bench-serve commands and the load generator."""

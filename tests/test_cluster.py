@@ -628,7 +628,7 @@ class TestWorkerCatalogInstall:
         from .test_views import flip_block_header, shard_definitions
 
         sharded = ShardedInvertedIndex.from_index(corpus_index, 2, "hash")
-        save_sharded_index(sharded, tmp_path / "idx.bin", format=4)
+        save_sharded_index(sharded, tmp_path / "idx.bin")
         shard_path = tmp_path / "idx.shard0.bin"
         definitions = shard_definitions(sharded.shards[0].index)
         flip_block_header(shard_path, definitions[0][1])
@@ -661,7 +661,7 @@ class TestBootstrap:
         sharded = ShardedInvertedIndex.from_index(
             handmade_index, 2, partitioner="hash"
         )
-        save_sharded_index(sharded, tmp_path / "idx.bin", format=4)
+        save_sharded_index(sharded, tmp_path / "idx.bin")
         shard_path = tmp_path / "idx.shard0.bin"
         shard = load_shard(shard_path, shard_id=0)
         source = worker_thread(
@@ -990,6 +990,9 @@ class TestClusterCoherence:
                 assert status == "ok"
                 got = [(h["doc"], h["score"]) for h in response["hits"]]
                 assert got == flat_ranking
+                # The shipped views now resolve the context's statistics.
+                resolution = response["report"]["resolution"]
+                assert resolution["path"] == "sharded-views"
             finally:
                 client.close()
                 engine.close()

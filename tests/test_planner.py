@@ -148,7 +148,7 @@ class TestOptimizer:
 
     def test_two_candidates_priced(self, planner_engine, queries):
         analyzed, specs = self._specs(planner_engine, queries[0])
-        plan = planner_engine.optimizer.plan(analyzed, specs)
+        plan = planner_engine.runtime.optimizer.plan(analyzed, specs)
         names = {c.name for c in plan.candidates}
         assert names == {PATH_VIEWS, PATH_STRAIGHTFORWARD}
         assert plan.chosen in names
@@ -159,7 +159,7 @@ class TestOptimizer:
     def test_chosen_is_cheapest_feasible(self, planner_engine, queries):
         for query in queries:
             analyzed, specs = self._specs(planner_engine, query)
-            plan = planner_engine.optimizer.plan(analyzed, specs)
+            plan = planner_engine.runtime.optimizer.plan(analyzed, specs)
             feasible = [c for c in plan.candidates if c.feasible]
             best = min(c.predicted_cost for c in feasible)
             assert plan.candidate(plan.chosen).predicted_cost == best
@@ -186,18 +186,18 @@ class TestOptimizer:
 
     def test_conventional_mode_single_candidate(self, planner_engine, queries):
         analyzed, _ = self._specs(planner_engine, queries[0])
-        plan = planner_engine.optimizer.plan(
+        plan = planner_engine.runtime.optimizer.plan(
             analyzed, (), mode=MODE_CONVENTIONAL
         )
         assert [c.name for c in plan.candidates] == ["conventional"]
         with pytest.raises(QueryError, match="no alternative paths"):
-            planner_engine.optimizer.plan(
+            planner_engine.runtime.optimizer.plan(
                 analyzed, (), mode=MODE_CONVENTIONAL, force=PATH_VIEWS
             )
 
     def test_forced_plan_is_marked(self, planner_engine, queries):
         analyzed, specs = self._specs(planner_engine, queries[0])
-        plan = planner_engine.optimizer.plan(
+        plan = planner_engine.runtime.optimizer.plan(
             analyzed, specs, force=PATH_STRAIGHTFORWARD
         )
         assert plan.forced

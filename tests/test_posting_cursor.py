@@ -190,7 +190,7 @@ def v4_indexes(corpus, corpus_index, tmp_path_factory):
     pairs = []
     for size, index in ((64, corpus_index), (4, corpus.build_index(segment_size=4))):
         path = tmp_path_factory.mktemp("cursor") / f"index{size}.bin"
-        save_index(index, path, format=4)
+        save_index(index, path)
         pairs.append((index, load_index(path)))
     yield pairs
     for _, lazy in pairs:

@@ -200,7 +200,7 @@ def indexes(corpus, corpus_index, tmp_path_factory):
     """The corpus index in memory, with four-entry segments, and
     reopened lazily from a v4 block file."""
     path = tmp_path_factory.mktemp("prepared") / "index.bin"
-    save_index(corpus_index, path, format=4)
+    save_index(corpus_index, path)
     lazy = load_index(path)
     yield {
         "memory": corpus_index,

@@ -1,5 +1,8 @@
 """Round-trip tests for index and catalog persistence."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro import ContextSearchEngine, build_index, select_views
@@ -13,20 +16,30 @@ from repro.storage import (
 
 from .conftest import HANDMADE_DOCS
 
+#: Version-3 JSON artefacts of ``handmade_index`` (flat and 2-shard hash
+#: partitioned, plain and gzipped), written by the last release that
+#: still had a v3 writer.  See ``tests/data/README.md``.
+V3_DATA = Path(__file__).parent / "data" / "v3"
+
+
+def copy_v3_sharded(tmp_path: Path, ext: str = ".json") -> Path:
+    """Copy the v3 sharded fixture (manifest ``idx{ext}`` plus its two
+    shard files) into ``tmp_path``; returns the copied manifest."""
+    for name in ("idx", "idx.shard0", "idx.shard1"):
+        shutil.copy(V3_DATA / "sharded" / f"{name}{ext}", tmp_path)
+    return tmp_path / f"idx{ext}"
+
 
 class TestIndexRoundTrip:
     @pytest.fixture(
-        params=[
-            ("idx.json", 4),
-            ("idx.json", 3),
-            ("idx.json.gz", 3),
-        ],
+        params=[None, "idx.json", "idx.json.gz"],
         ids=["v4-binary", "v3-json", "v3-json-gz"],
     )
     def saved_path(self, request, tmp_path, handmade_index):
-        name, fmt = request.param
-        path = tmp_path / name
-        save_index(handmade_index, path, format=fmt)
+        if request.param is not None:
+            return V3_DATA / "flat" / request.param
+        path = tmp_path / "idx.json"
+        save_index(handmade_index, path)
         return path
 
     def test_statistics_survive(self, saved_path, handmade_index):
@@ -51,6 +64,14 @@ class TestIndexRoundTrip:
         assert a.external_ids() == b.external_ids()
         for ha, hb in zip(a.hits, b.hits):
             assert ha.score == pytest.approx(hb.score, abs=1e-12)
+
+    def test_v4_density_budget(self, tmp_path, corpus42_index):
+        """The v4 codec stays under 700 B/doc on a 1,500-document corpus
+        (464 when the budget was set); a regression that doubles the
+        artefact trips it."""
+        path = tmp_path / "idx.bin"
+        save_index(corpus42_index, path)
+        assert path.stat().st_size / corpus42_index.num_docs <= 700
 
     def test_uncommitted_index_rejected(self, tmp_path):
         from repro.index import InvertedIndex
@@ -137,10 +158,10 @@ class TestCatalogRoundTrip:
 
 
 class TestFormatVersions:
-    """Format-version 3 persists precompiled postings plus block-max
-    metadata; version-2 (columns, no block metadata) and version-1
-    (token streams only) payloads must keep loading through the legacy
-    decoders."""
+    """Format-version 3 persisted precompiled postings plus block-max
+    metadata; version-3, version-2 (columns, no block metadata) and
+    version-1 (token streams only) payloads must keep loading through
+    the legacy decoders.  Only format 4 is writable."""
 
     def _v1_payload(self, index) -> dict:
         return {
@@ -186,14 +207,10 @@ class TestFormatVersions:
         }
         return payload
 
-    def test_v3_payload_carries_precompiled_postings(
-        self, tmp_path, handmade_index
-    ):
+    def test_v3_payload_carries_precompiled_postings(self):
         import json
 
-        path = tmp_path / "v3.json"
-        save_index(handmade_index, path, format=3)
-        payload = json.loads(path.read_text())
+        payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
         from repro.storage import decode_column
 
         assert payload["version"] == 3
@@ -212,12 +229,8 @@ class TestFormatVersions:
         entry = payload["documents"][0]
         assert "length" in entry and "unique_terms" in entry
 
-    def test_v3_reload_preserves_max_tf_and_blocks(
-        self, tmp_path, handmade_index
-    ):
-        path = tmp_path / "v3.json"
-        save_index(handmade_index, path, format=3)
-        loaded = load_index(path)
+    def test_v3_reload_preserves_max_tf_and_blocks(self, handmade_index):
+        loaded = load_index(V3_DATA / "flat" / "idx.json")
         for term in handmade_index.vocabulary:
             original = handmade_index.postings(term)
             reloaded = loaded.postings(term)
@@ -230,8 +243,7 @@ class TestFormatVersions:
     ):
         import json
 
-        save_path = tmp_path / "v3.json"
-        save_index(handmade_index, save_path, format=3)
+        save_path = V3_DATA / "flat" / "idx.json"
         path = tmp_path / "v2.json"
         path.write_text(
             json.dumps(self._as_v2_payload(json.loads(save_path.read_text())))
@@ -253,32 +265,35 @@ class TestFormatVersions:
         )
         assert a.external_ids() == b.external_ids()
 
-    def test_future_version_rejected_with_supported_list(
-        self, tmp_path, handmade_index
-    ):
+    def test_future_version_rejected_with_supported_list(self, tmp_path):
         import json
 
         path = tmp_path / "v9.json"
-        save_index(handmade_index, path, format=3)
-        payload = json.loads(path.read_text())
+        payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
         payload["version"] = 9
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError, match="versions 1, 2"):
             load_index(path)
 
-    def test_malformed_v2_payload_is_storage_error(
-        self, tmp_path, handmade_index
-    ):
+    def test_malformed_v2_payload_is_storage_error(self, tmp_path):
         import json
 
         path = tmp_path / "broken.json"
-        save_index(handmade_index, path, format=3)
-        payload = json.loads(path.read_text())
+        payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
         term = next(iter(payload["content"]))
         payload["content"][term] = [[0, 1]]  # not an (ids, tfs, max_tf) triple
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError, match="malformed index payload"):
             load_index(path)
+
+    def test_only_v4_shards_are_writable(self, tmp_path, handmade_index):
+        from repro.index.sharded import ShardedInvertedIndex
+        from repro.storage import save_sharded_index
+
+        sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
+        with pytest.raises(StorageError, match="writable format is 4"):
+            save_sharded_index(sharded, tmp_path / "idx.json", format=3)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestShardedLoadRobustness:
@@ -290,9 +305,11 @@ class TestShardedLoadRobustness:
         from repro.index.sharded import ShardedInvertedIndex
         from repro.storage import load_sharded_index, save_sharded_index
 
+        if request.param == 3:
+            return copy_v3_sharded(tmp_path), load_sharded_index
         sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
         path = tmp_path / "idx.json"
-        save_sharded_index(sharded, path, format=request.param)
+        save_sharded_index(sharded, path)
         return path, load_sharded_index
 
     def test_missing_shard_file(self, saved_sharded):
@@ -303,13 +320,10 @@ class TestShardedLoadRobustness:
             load_sharded_index(path)
         assert victim.name in str(exc_info.value)
 
-    def test_truncated_gzip_shard(self, tmp_path, handmade_index):
-        from repro.index.sharded import ShardedInvertedIndex
-        from repro.storage import load_sharded_index, save_sharded_index
+    def test_truncated_gzip_shard(self, tmp_path):
+        from repro.storage import load_sharded_index
 
-        sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
-        path = tmp_path / "idx.json.gz"
-        save_sharded_index(sharded, path, format=3)
+        path = copy_v3_sharded(tmp_path, ".json.gz")
         victim = tmp_path / "idx.shard0.json.gz"
         victim.write_bytes(victim.read_bytes()[:40])  # truncate mid-stream
         with pytest.raises(StorageError, match="unreadable") as exc_info:
@@ -322,22 +336,19 @@ class TestShardedLoadRobustness:
 
         sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
         path = tmp_path / "idx.json"
-        save_sharded_index(sharded, path, format=4)
+        save_sharded_index(sharded, path)
         victim = tmp_path / "idx.shard0.json"
         victim.write_bytes(victim.read_bytes()[:64])  # torn mid-header
         with pytest.raises(StorageError, match="unreadable") as exc_info:
             load_sharded_index(path)
         assert victim.name in str(exc_info.value)
 
-    def test_shard_version_mismatch(self, tmp_path, handmade_index):
+    def test_shard_version_mismatch(self, tmp_path):
         import json
 
-        from repro.index.sharded import ShardedInvertedIndex
-        from repro.storage import load_sharded_index, save_sharded_index
+        from repro.storage import load_sharded_index
 
-        sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
-        path = tmp_path / "idx.json"
-        save_sharded_index(sharded, path, format=3)
+        path = copy_v3_sharded(tmp_path)
         victim = path.parent / "idx.shard0.json"
         payload = json.loads(victim.read_text())
         payload["version"] = 99
@@ -352,6 +363,21 @@ class TestShardedLoadRobustness:
         assert loaded.num_docs == handmade_index.num_docs
         loaded.close()
 
+    def test_loaded_set_ranks_like_the_flat_index(
+        self, saved_sharded, handmade_engine
+    ):
+        from repro import ShardedEngine
+
+        path, load_sharded_index = saved_sharded
+        expected = handmade_engine.search("leukemia | Diseases")
+        with ShardedEngine(
+            load_sharded_index(path), executor="serial"
+        ) as engine:
+            got = engine.search("leukemia | Diseases")
+        assert [(h.external_id, h.score) for h in got.hits] == [
+            (h.external_id, h.score) for h in expected.hits
+        ]
+
 
 class TestBinaryFormatV4:
     """The v4 block format: lazy loads, torn-file diagnostics, and
@@ -360,15 +386,11 @@ class TestBinaryFormatV4:
     @pytest.fixture()
     def v4_path(self, tmp_path, handmade_index):
         path = tmp_path / "idx.bin"
-        save_index(handmade_index, path, format=4)
+        save_index(handmade_index, path)
         return path
 
-    def test_rankings_bit_identical_to_eager_v3(
-        self, tmp_path, v4_path, handmade_index
-    ):
-        v3_path = tmp_path / "idx.json"
-        save_index(handmade_index, v3_path, format=3)
-        eager = load_index(v3_path)
+    def test_rankings_bit_identical_to_eager_v3(self, v4_path):
+        eager = load_index(V3_DATA / "flat" / "idx.json")
         lazy = load_index(v4_path)
         a = ContextSearchEngine(eager).search("leukemia | Diseases")
         b = ContextSearchEngine(lazy).search("leukemia | Diseases")

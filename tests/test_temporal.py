@@ -231,3 +231,26 @@ class TestTemporalEngine:
         assert a.external_ids() == b.external_ids()
         for ha, hb in zip(a.hits, b.hits):
             assert ha.score == pytest.approx(hb.score, abs=1e-10)
+
+    def test_rare_term_fallback_charges_model_cost(
+        self, corpus_index, years, corpus_table, temporal_view,
+        top_predicate, probe_term,
+    ):
+        """The fallback walk is charged ``|L_w| · (1 + #predicates)``,
+        as on the flat views path; a view carrying the df column is
+        charged nothing for it."""
+        bare = materialize_temporal_view(corpus_table, years, {top_predicate})
+        covered = TemporalSearchEngine(
+            corpus_index, years, views=[temporal_view]
+        )
+        fallback = TemporalSearchEngine(corpus_index, years, views=[bare])
+        text = f"{probe_term} | {top_predicate}"
+        a = covered.search(text, low=1990, high=2008)
+        b = fallback.search(text, low=1990, high=2008)
+        assert a.report.resolution.rare_term_fallbacks == 0
+        assert b.report.resolution.rare_term_fallbacks == 1
+        walked = len(corpus_index.postings(probe_term))
+        assert (
+            b.report.counter.model_cost - a.report.counter.model_cost
+            == walked * (1 + 1)
+        )

@@ -344,7 +344,7 @@ def many_tables(corpus, corpus_index, tmp_path_factory):
         sharded = ShardedInvertedIndex.from_index(corpus_index, n, "hash")
         tables[f"shards{n}"] = [shard.index for shard in sharded.shards]
     manifest = tmp_path_factory.mktemp("v4") / "sharded.bin"
-    save_sharded_index(sharded, manifest, format=4)
+    save_sharded_index(sharded, manifest)
     loaded = load_sharded_index(manifest)
     tables["v4"] = [shard.index for shard in loaded.shards]
 
@@ -480,7 +480,7 @@ def v4_shard_file(corpus_index, tmp_path_factory):
 
     sharded = ShardedInvertedIndex.from_index(corpus_index, 2, "hash")
     directory = tmp_path_factory.mktemp("bulk-v4")
-    save_sharded_index(sharded, directory / "sharded.bin", format=4)
+    save_sharded_index(sharded, directory / "sharded.bin")
     return directory / "sharded.shard0.bin"
 
 
