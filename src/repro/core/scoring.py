@@ -78,8 +78,8 @@ def score_candidates(
 
 def _tf_column(plist: PostingList, doc_ids: Sequence[int]) -> List[int]:
     """``tf(w, d)`` for each of the ascending ``doc_ids`` (0 where the
-    list has no entry), in one forward cursor walk over ``plist``: on a
-    lazily decoded list each block is decoded at most once."""
+    list has no entry), in one forward cursor walk over ``plist``: a
+    lazily decoded list decodes whole on its first read, once."""
     cursor = PostingCursor(plist)
     seek = cursor.seek
     return [cursor.tf if seek(doc_id) == doc_id else 0 for doc_id in doc_ids]

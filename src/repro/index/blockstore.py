@@ -36,11 +36,11 @@ offsets — can be located with arithmetic, never by parsing the file.
 
 A cold :class:`BlockFile` open reads the header, dictionaries, and
 skip metadata (a few hundred KB); posting payloads stay on disk until a
-query touches a block, at which point it is decoded through a small
-per-file LRU.  The mmap is the only OS resource: the file descriptor
-is closed immediately after mapping, so an unclosed reader can never
-raise ``ResourceWarning``; ``close()`` releases the mapping
-deterministically.
+query reads a list's elements, at which point the whole list decodes
+once into arrays that live on the list.  The mmap is the only OS
+resource: the file descriptor is closed immediately after mapping, so
+an unclosed reader can never raise ``ResourceWarning``; ``close()``
+releases the mapping deterministically.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ import mmap
 import os
 import struct
 import sys
+import threading
 import zlib
 from array import array
-from collections import OrderedDict
 from collections.abc import MutableMapping
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -65,7 +65,6 @@ MAGIC = b"CSRX4\r\n\x00"
 BLOCK_FORMAT_VERSION = 4
 _HEADER_LEN_STRUCT = struct.Struct("<I")
 _TERM_RECORD = struct.Struct("<QIIQQQQ")
-_DEFAULT_CACHE_BLOCKS = 512
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -312,31 +311,6 @@ def is_block_file(path) -> bool:
         return False
 
 
-class _BlockCache:
-    """Tiny LRU of decoded blocks, keyed by (list data offset, block no)."""
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
 class _LazyFieldTokens(dict):
     """Per-document ``field_tokens`` mapping decoded on first access."""
 
@@ -500,17 +474,23 @@ class _LazyPostingMap(MutableMapping):
     materialises every list instead.
     """
 
-    __slots__ = ("_source", "_entries")
+    __slots__ = ("_source", "_entries", "_lock")
 
     def __init__(self, source: "BlockFile", records: Dict[str, tuple]):
         self._source = source
         self._entries = records
+        self._lock = threading.Lock()
 
     def __getitem__(self, term: str) -> LazyPostingList:
         value = self._entries[term]
         if type(value) is tuple:
-            value = self._source._build_posting_list(term, value)
-            self._entries[term] = value
+            # One shell per term even under concurrent readers, so a
+            # list is promoted (decoded) once.
+            with self._lock:
+                value = self._entries[term]
+                if type(value) is tuple:
+                    value = self._source._build_posting_list(term, value)
+                    self._entries[term] = value
         return value
 
     def get(self, term: str, default=None):
@@ -549,7 +529,7 @@ class BlockFile:
     blocks outlive the file they came from.
     """
 
-    def __init__(self, path, cache_blocks: int = _DEFAULT_CACHE_BLOCKS):
+    def __init__(self, path):
         self.path = path
         self._mmap: Optional[mmap.mmap] = None
         with open(path, "rb") as handle:
@@ -611,7 +591,6 @@ class BlockFile:
                     f"({length} bytes at {offset})",
                 )
             self._sections[name] = (self._base + offset, length)
-        self._cache = _BlockCache(cache_blocks)
         self._documents: Optional[List[StoredDocument]] = None
         self._doc_meta: Optional[Tuple[array, array, array]] = None
         self._token_data = None  # (vocab list, decompressed stream, offsets)
@@ -629,7 +608,6 @@ class BlockFile:
         mm, self._mmap = self._mmap, None
         if mm is not None:
             mm.close()
-        self._cache.clear()
 
     def __enter__(self) -> "BlockFile":
         return self
@@ -891,10 +869,6 @@ class BlockFile:
 
     def _make_loader(self, term, count, data_off, block_ends, seg_maxes):
         def load(block: int):
-            key = (data_off, block)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
             mm = self._require_open()
             blocks_base, blocks_len = self._sections["blocks"]
             start = block_ends[block - 1] if block > 0 else 0
@@ -929,7 +903,6 @@ class BlockFile:
                     f"block {block} of term {term!r} decodes inconsistently "
                     f"with its skip metadata",
                 )
-            self._cache.put(key, columns)
             return columns
 
         return load

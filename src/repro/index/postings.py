@@ -22,6 +22,7 @@ the flat docid buffer directly.
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -317,9 +318,10 @@ class PostingList:
         """
         self._require_frozen()
         other._require_frozen()
-        if not self.doc_ids or not other.doc_ids:
+        if not self._seg_maxes or not other._seg_maxes:
             return 0
-        other_min, other_max = other.doc_ids[0], other.doc_ids[-1]
+        # The skip columns hold both ends, so a lazy list stays lazy.
+        other_min, other_max = other._seg_mins[0], other._seg_maxes[-1]
         # First segment whose max reaches other's range, and first segment
         # whose min is already past it.
         lo = bisect_left(self._seg_maxes, other_min)
@@ -345,7 +347,8 @@ class PostingCursor:
     :meth:`seek` is the access method the paper's cost model is written
     against (Section 3.2.1): jump whole segments through the segment
     max-docid column, then bisect inside the one landing segment.  On a
-    lazily decoded list a seek therefore decodes at most one block.
+    lazily decoded list the first entry read decodes the whole list
+    once (see :class:`LazyPostingList`); later seeks decode nothing.
     Cost accounting is the sequential merge's: one skipped segment per
     skip-pointer jump, one scanned entry per entry passed over inside
     the landing segment, and one per :meth:`advance`.  A target at or
@@ -455,11 +458,14 @@ class LazyColumn:
 
     Quacks like the ``array('q')`` columns it replaces for every read
     the engine performs — ``len``, indexing (including negative),
-    iteration, ``bisect`` probes — but decodes postings block by block
-    through the owning :class:`LazyPostingList` only when an element is
-    actually touched.  Deliberately *not* an ``array`` subclass: the
-    intersection kernels test ``isinstance(x, array)`` to choose their
-    dense C paths and must fall back to the index-probe path here.
+    slicing, iteration, ``bisect`` probes.  ``len`` is metadata; the
+    first element read promotes the owning :class:`LazyPostingList`
+    (every block decodes once into ``array('q')`` columns installed on
+    the list), and every read, including those through a view captured
+    before the promotion, forwards to the owner's arrays.  Deliberately
+    *not* an ``array`` subclass: the intersection kernels test
+    ``isinstance(x, array)`` to choose their dense C paths and must fall
+    back to the index-probe path here.
     """
 
     __slots__ = ("_owner", "_select")
@@ -468,28 +474,20 @@ class LazyColumn:
         self._owner = owner
         self._select = select
 
+    def _column(self) -> array:
+        arrays = self._owner._arrays
+        if arrays is None:
+            arrays = self._owner._promote()
+        return arrays[self._select]
+
     def __len__(self) -> int:
         return self._owner._count
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return array(
-                "q",
-                (self[i] for i in range(*index.indices(self._owner._count))),
-            )
-        n = self._owner._count
-        if index < 0:
-            index += n
-        if index < 0 or index >= n:
-            raise IndexError("posting column index out of range")
-        block, offset = divmod(index, self._owner.segment_size)
-        return self._owner._block(block)[self._select][offset]
+        return self._column()[index]
 
     def __iter__(self) -> Iterator[int]:
-        owner = self._owner
-        select = self._select
-        for block in range(len(owner._skip_starts)):
-            yield from owner._block(block)[select]
+        return iter(self._column())
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -514,20 +512,26 @@ class LazyColumn:
         )
 
 
+# Serialises promotions so two readers of one list decode it once.
+_PROMOTE_LOCK = threading.Lock()
+
+
 class LazyPostingList(PostingList):
-    """A frozen posting list whose columns decode on demand.
+    """A frozen posting list whose columns decode on first element read.
 
     Constructed straight from persisted metadata — posting count,
     cached ``max_tf``, and the per-segment skip/block-max columns — so
-    every pre-decode read (score bounds, block-max skipping, segment
+    every bounds read (score bounds, block-max skipping, segment
     overlap counting) runs without touching the compressed payload.
-    Element access goes through ``loader(block_index) -> (ids, tfs)``,
-    typically a closure over an mmap-backed block file with an LRU of
-    decoded blocks; a one-block memo on the list keeps sequential scans
-    from re-probing the cache per element.
+    The first element read promotes the list: ``loader(block_index) ->
+    (ids, tfs)``, typically a closure over an mmap-backed block file,
+    runs once per block and the two ``array('q')`` columns replace the
+    :class:`LazyColumn` views.  The loader is never cleared: it holds
+    the block file, whose mapping ``close()`` releases either way, and
+    ``columns()`` on an unpromoted list still decodes without pinning.
     """
 
-    __slots__ = ("_count", "_loader", "_memo")
+    __slots__ = ("_count", "_loader", "_arrays")
 
     def __init__(
         self,
@@ -543,7 +547,7 @@ class LazyPostingList(PostingList):
         super().__init__(term, segment_size=segment_size)
         self._count = count
         self._loader = loader
-        self._memo = None
+        self._arrays: Optional[Tuple[array, array]] = None
         self._skip_starts = array("q", range(0, count, segment_size))
         if not (
             len(seg_mins)
@@ -563,29 +567,38 @@ class LazyPostingList(PostingList):
         self.tfs = LazyColumn(self, 1)
         self._frozen = True
 
-    def _block(self, block: int) -> Tuple[array, array]:
-        memo = self._memo
-        if memo is not None and memo[0] == block:
-            return memo[1]
-        columns = self._loader(block)
-        self._memo = (block, columns)
-        return columns
-
     @property
     def materialized(self) -> bool:
-        """True once the columns have been decoded into plain arrays."""
-        return not isinstance(self.doc_ids, LazyColumn)
+        """True once the list has been promoted to plain arrays."""
+        return self._arrays is not None
+
+    def _promote(self) -> Tuple[array, array]:
+        """Decode the whole list once and install its arrays.
+
+        ``_arrays`` is one assignment, so a :class:`LazyColumn` never
+        sees one column promoted and the other not; the plain
+        ``doc_ids``/``tfs`` attributes follow for readers that fetch
+        them afresh.
+        """
+        with _PROMOTE_LOCK:
+            arrays = self._arrays
+            if arrays is None:
+                arrays = self._arrays = self.columns()
+                self.doc_ids, self.tfs = arrays
+        return arrays
 
     def columns(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """Decode every block, in order, into fresh ``array('q')`` columns.
+        """The whole columns: the promoted arrays, or else every block
+        decoded, in order, into fresh ``array('q')`` columns.
 
         One loader call per block — each runs the block file's frame and
-        skip-metadata checks — and the list itself stays lazy: a bulk
+        skip-metadata checks — and an unpromoted list stays lazy: a bulk
         reader (view materialisation) gets the columns without pinning
         them on the list.
         """
-        if self.materialized:
-            return super().columns()
+        arrays = self._arrays
+        if arrays is not None:
+            return arrays
         ids = array("q")
         tfs = array("q")
         for block in range(len(self._skip_starts)):
@@ -594,23 +607,11 @@ class LazyPostingList(PostingList):
             tfs.extend(block_tfs)
         return ids, tfs
 
-    def materialize(self) -> "PostingList":
-        """Decode every block into plain ``array('q')`` columns.
-
-        After this the list no longer touches its loader (and thus the
-        backing file); mutation paths call it implicitly.
-        """
-        if not self.materialized:
-            self.doc_ids, self.tfs = self.columns()
-            self._loader = None
-            self._memo = None
-        return self
-
     def extend(self, pairs: Iterable[Tuple[int, int]]) -> "PostingList":
-        # ``_count`` goes stale here, but nothing reads it once the
-        # LazyColumn views have been replaced by real arrays.
-        self.materialize()
-        return super().extend(pairs)
+        self._promote()
+        super().extend(pairs)
+        self._count = len(self.doc_ids)
+        return self
 
 
 EMPTY_POSTING_LIST = PostingList.from_pairs("", ())

@@ -323,8 +323,9 @@ def materialize_view(
 
     index: InvertedIndex = table.index
     for term in df_terms | tc_terms:
-        plist = index.postings(term)
-        for doc_id, tf in plist:
+        # The bulk reader: a lazy v4 list is read without being promoted.
+        doc_ids, tfs = index.postings(term).columns()
+        for doc_id, tf in zip(doc_ids, tfs):
             group = groups[keys[doc_id]]
             if term in df_terms:
                 group.df[term] = group.df.get(term, 0) + 1

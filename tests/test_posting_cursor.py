@@ -4,12 +4,12 @@ The cursor replaced ``PostingList.skip_to`` and every private copy of it,
 so it must land where a sorted-array ``bisect_left`` lands and charge a
 :class:`CostCounter` exactly what ``skip_to`` charged.  ``skip_to`` is
 kept below as the reference.  The same holds over lazily decoded lists
-(in-memory loaders and v4 block files), where a seek must also stay
-inside one block.  The last tests pin the readers that moved onto the
-cursor: the ``tc`` gather of the context intersection decodes each
-block once, and MaxScore top-k (membership in ``D_P`` is a forward seek
-per predicate list) gives the exhaustive reference's answer and the
-recorded work counts.
+(in-memory loaders and v4 block files), whose first read decodes every
+block once and whose later seeks decode none.  The last tests pin the
+readers that moved onto the cursor: the ``tc`` gather of the context
+intersection decodes each block once, and MaxScore top-k (membership in
+``D_P`` is a forward seek per predicate list) gives the exhaustive
+reference's answer and the recorded work counts.
 """
 
 from bisect import bisect_left
@@ -59,10 +59,11 @@ def skip_to(plist, position, target, counter):
 
 
 def lazy_copy(plist, calls=None):
-    """A fresh lazy list over ``plist``'s blocks.  A lazy ``plist`` lends
-    its own (v4) loader; ``calls`` records every block load."""
+    """A fresh, unpromoted lazy list over ``plist``'s blocks.  A lazy
+    ``plist`` lends its own (v4) loader, which promotion keeps;
+    ``calls`` records every block load."""
     size = plist.segment_size
-    if isinstance(plist, LazyPostingList) and not plist.materialized:
+    if isinstance(plist, LazyPostingList):
         load = plist._loader
     else:
         ids, tfs = plist.columns()
@@ -205,19 +206,29 @@ class TestLazyV4Lists:
                 last = eager.postings(term).doc_ids[-1]
                 step = 1 + rank * 7
                 steps = list(range(0, last + 3, step)) + [None, last + 9]
-                replay(lazy.postings(term), steps)
-                assert not lazy.postings(term).materialized
+                plist = lazy_copy(lazy.postings(term))
+                replay(plist, steps)
+                # The cursor's first read promoted the list; its captured
+                # columns forwarded to the arrays for the rest of the replay.
+                assert plist.materialized
 
-    def test_a_seek_decodes_at_most_one_block(self, v4_indexes):
+    def test_first_read_decodes_every_block_once(self, v4_indexes):
         eager, lazy = v4_indexes[1]
         term = max(eager.vocabulary, key=eager.document_frequency)
+        last = eager.postings(term).doc_ids[-1]
         calls = []
         plist = lazy_copy(lazy.postings(term), calls)
+        every_block = list(range(plist.num_segments))
         cursor = PostingCursor(plist)
-        for target in range(0, plist.doc_ids[-1] + 2, 37):
-            before = len(calls)
+        assert calls == []
+        for target in range(0, last + 2, 37):
             cursor.seek(target)
-            assert len(calls) - before <= 1
+            assert calls in ([], every_block)
+        assert calls == every_block
+        # Later seeks, on fresh cursors too, decode nothing.
+        for target in range(0, last + 2, 37):
+            PostingCursor(plist).seek(target)
+        assert calls == every_block
 
 
 class TestTcGather:

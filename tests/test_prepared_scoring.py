@@ -231,17 +231,23 @@ class TestScoreCandidates:
                 index, ranking, keywords, result_ids, stats
             ) == reference_loop(index, ranking, keywords, result_ids, stats)
 
-    def test_lazy_lists_stay_lazy(self, indexes):
-        """Gathering tf decodes blocks on demand, never the whole list."""
-        index = indexes["lazy"]
-        term = max(index.vocabulary, key=index.document_frequency)
-        plist = index.postings(term)
-        first = plist.doc_ids[0]
-        score_candidates(
-            index, PivotedNormalizationTFIDF(), [term], [first],
-            collection_stats(index, [term]),
-        )
-        assert not plist.materialized
+    def test_lazy_list_promotes_on_first_read(self, indexes, tmp_path):
+        """Gathering tf promotes a fresh lazy list to plain arrays."""
+        path = tmp_path / "index.bin"
+        save_index(indexes["memory"], path)
+        index = load_index(path)
+        try:
+            term = max(index.vocabulary, key=index.document_frequency)
+            plist = index.postings(term)
+            first = plist._seg_mins[0]
+            assert not plist.materialized
+            score_candidates(
+                index, PivotedNormalizationTFIDF(), [term], [first],
+                collection_stats(index, [term]),
+            )
+            assert plist.materialized
+        finally:
+            index.close()
 
 
 # ---------------------------------------------------------------------------

@@ -413,8 +413,9 @@ class TestBinaryFormatV4:
         # Metadata reads decode nothing...
         assert plist.max_tf >= 1 and len(plist) >= 1
         assert not plist.materialized
-        # ...while an element read decodes (memoised) blocks.
+        # ...while an element read promotes the list to plain arrays.
         assert plist.doc_ids[0] >= 0
+        assert plist.materialized
         loaded.close()
 
     def test_close_is_idempotent_and_blocks_reads(self, v4_path):
