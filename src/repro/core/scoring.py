@@ -1,7 +1,8 @@
 """The one scoring loop every engine shares.
 
 :class:`~repro.core.sharded_engine.ShardRuntime` (the per-partition
-evaluator of both the flat and the sharded engine) and the temporal
+evaluator of both the flat and the sharded engine), the sharded merge
+(:class:`~repro.core.sharded_engine.ShardMergePlan`) and the temporal
 engine score through this module, so their rankings cannot drift apart:
 score a candidate set under resolved collection statistics, then order
 by ``(-score, id)``.
@@ -10,11 +11,13 @@ A candidate set is scored as columns, following the paper's split of
 statistics by scope (Table 1).  ``S_q(Q)`` and ``S_c(D_P)`` are fixed for
 the whole query, so :meth:`~repro.core.ranking.RankingFunction.prepare`
 turns them into per-term constants once.  Only ``tf(w, d)`` and
-``len(d)`` vary per document: each query term's tf column is gathered
-by one :class:`~repro.index.postings.PostingCursor` seeking forward
-through its posting list, and each candidate's length and external id
-are read from the store once.  The prepared
-scorer is then called once per candidate.
+``len(d)`` vary per document.  :func:`gather_features` reads them from
+the index that holds the candidates: each query term's tf column by one
+:class:`~repro.index.postings.PostingCursor` seeking forward through its
+posting list, each candidate's length and external id from the store.
+:func:`score_columns` then calls the prepared scorer once per candidate:
+in place for a flat index (:func:`score_candidates`), at the merge for
+the columns a shard gathered.
 
 Exactness comes from the ranking models, not from this loop: a prepared
 scorer performs the same float operations in the same order as
@@ -32,11 +35,11 @@ pure function of the (unordered) candidate set.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..index.inverted_index import InvertedIndex
 from ..index.postings import PostingCursor, PostingList
-from .ranking import RankingFunction
+from .ranking import DocumentScorer, RankingFunction
 from .statistics import CollectionStatistics, QueryStatistics
 
 # One scored candidate: (doc_id, score, external_id), local to the index
@@ -54,26 +57,47 @@ def score_candidates(
     """Score every candidate; returns ``(doc_id, score, external_id)``
     triples in input order (callers own the sort key — a shard runtime
     ranks on global ids, which for a whole index are the docids).
+    ``result_ids`` must be ascending (see :func:`gather_features`)."""
+    query_stats = QueryStatistics.from_keywords(keywords)
+    score = ranking.prepare(query_stats, collection_stats)
+    lengths, external_ids, columns = gather_features(
+        index, query_stats.term_counts, result_ids
+    )
+    return list(
+        zip(result_ids, score_columns(score, lengths, columns), external_ids)
+    )
+
+
+def gather_features(
+    index: InvertedIndex, terms: Iterable[str], result_ids: Sequence[int]
+) -> Tuple[List[int], List[str], List[List[int]]]:
+    """The per-document scoring inputs of ``result_ids``: their lengths,
+    their external ids, and one tf column per term of ``terms`` (a
+    query's ``term_counts``, in order).
 
     ``result_ids`` must be ascending: each term's tf column is gathered
     by one forward walk over its posting list, which never moves back.
     Every caller passes a conjunction's output (or a filtered subsequence
     of one), which is ascending by construction.
     """
-    query_stats = QueryStatistics.from_keywords(keywords)
-    score = ranking.prepare(query_stats, collection_stats)
-    columns = [
-        _tf_column(index.postings(term), result_ids)
-        for term in query_stats.term_counts
-    ]
-    rows = zip(*columns) if columns else repeat(())
-    get = index.store.get
-    scored: List[ScoredCandidate] = []
-    append = scored.append
-    for doc_id, tfs in zip(result_ids, rows):
-        doc = get(doc_id)
-        append((doc_id, score(doc.length, tfs), doc.external_id))
-    return scored
+    columns = [_tf_column(index.postings(term), result_ids) for term in terms]
+    docs = list(map(index.store.get, result_ids))
+    return (
+        [doc.length for doc in docs],
+        [doc.external_id for doc in docs],
+        columns,
+    )
+
+
+def score_columns(
+    score: DocumentScorer,
+    lengths: Sequence[int],
+    columns: Sequence[Sequence[int]],
+) -> List[float]:
+    """The prepared ``score(length, tfs)`` of every candidate, in order:
+    ``columns`` hold one tf column per term of the query's
+    ``term_counts``."""
+    return list(map(score, lengths, zip(*columns) if columns else repeat(())))
 
 
 def _tf_column(plist: PostingList, doc_ids: Sequence[int]) -> List[int]:

@@ -1,8 +1,8 @@
 """Parallel query execution over a sharded index, bit-identical to serial.
 
 The sharded engine runs every evaluation mode of
-:class:`~repro.core.engine.ContextSearchEngine` as a two-phase
-scatter-gather over the shards of a
+:class:`~repro.core.engine.ContextSearchEngine` as a scatter-gather
+over the shards of a
 :class:`~repro.index.sharded.ShardedInvertedIndex`.  Sharding is a
 *partitioned execution strategy over the shared planner stack*, not a
 separate engine: each shard runs a :class:`ShardRuntime` — the one
@@ -15,17 +15,22 @@ views-vs-straightforward choice and the parent merges with
 
 1. **resolve** — each shard plans and answers the query's
    collection-statistic specs over *its* sub-collection and returns
-   them with its local candidate ids;
+   them with its candidates' scoring inputs: global id, length, external
+   id and one tf column per query term;
 2. **merge** — the parent sums the partial aggregates (every supported
    statistic of Table 1 is additive over documents; the one non-additive
    statistic, ``utc``, is rejected up front);
-3. **score** — the merged global statistics go back with each shard's
-   own candidates and every shard scores them through the one shared
-   scoring loop (:mod:`repro.core.scoring`).  Scores are pure functions
-   of integer statistics and per-document values, so each document's
-   score is the exact float the single-shard engine computes; the final
-   sort on ``(-score, global docid)`` then reproduces the single-shard
-   ranking including tie-breaks.
+3. **score** — the parent scores every shard's candidate columns under
+   the merged global statistics through the one shared scoring loop
+   (:mod:`repro.core.scoring`).  Scores are pure functions of integer
+   statistics and per-document values, so each document's score is the
+   exact float the single-shard engine computes; the final sort on
+   ``(-score, global docid)`` then reproduces the single-shard ranking
+   including tie-breaks.
+
+Context and conventional queries therefore cost one shard exchange.
+Disjunctive top-k costs two: MaxScore needs the global statistics and
+per-term bounds before any shard can prune.
 
 Every shard op is stateless, and each mode's merge is written once, as
 the :meth:`ShardMergePlan.fold` generator.  Two callers run it: this
@@ -101,7 +106,12 @@ from .query import (
 )
 from .ranking import DEFAULT_RANKING_FUNCTION, RankingFunction
 from .report import ShardReport
-from .scoring import rank_candidates, score_candidates
+from .scoring import (
+    gather_features,
+    rank_candidates,
+    score_candidates,
+    score_columns,
+)
 from .statistics import (
     TERM_COUNT,
     CollectionStatistics,
@@ -117,17 +127,14 @@ from .topk import SharedTopKThreshold, TopKDiagnostics
 _Hit = Tuple[float, int, str]
 
 # The stateless shard ops, named as the cluster wire names them, and the
-# ShardRuntime method serving each.  ShardMergePlan.fold yields these; the
-# in-process backends call the method, the router sends the op.
+# ShardRuntime method serving each.  Every mode starts with a resolve;
+# ShardMergePlan.fold yields the disjunctive top-k.  The in-process
+# backends call the method, the router sends the op.
 OP_SHARD_RESOLVE = "shard_resolve"
-OP_SHARD_SCORE = "shard_score"
 OP_SHARD_TOPK = "shard_topk"
-OP_SHARD_CONVENTIONAL = "shard_conventional"
 SHARD_OP_METHODS = {
     OP_SHARD_RESOLVE: "resolve",
-    OP_SHARD_SCORE: "score",
     OP_SHARD_TOPK: "topk_many",
-    OP_SHARD_CONVENTIONAL: "conventional_many",
 }
 
 
@@ -148,8 +155,9 @@ class ShardRuntime:
     runtimes, the fork backend's per-shard worker inherits them via the
     module registry, and a cluster shard worker serves one.  Its shard
     ops (:data:`SHARD_OP_METHODS`) are stateless — every input arrives
-    with the task, phase-1 candidates included — so concurrent batches
-    never see each other and any replica can serve any phase.  Only
+    with the task, and a resolve returns everything the merge needs to
+    score its candidates — so concurrent batches never see each other
+    and any replica can serve any phase.  Only
     :meth:`resolve_many`/:meth:`score_many` keep a per-qid stash, for
     the staged benchmark that drives one query at a time.
     """
@@ -200,21 +208,35 @@ class ShardRuntime:
         feasible).  Each row is ``(qid, keywords, predicates, *slice)``
         with the shard's slice by mode — exactly the wire entry:
 
-        - context: ``values, num_results, path, predicted, counter,
-          result_ids`` (the local candidates travel with the row, so
-          phase 2 needs no state on this side);
+        - context: ``values, num_results, path, predicted, counter``,
+          then the candidates' features;
         - disjunctive: ``values, path, predicted, counter, max_tf``;
-        - conventional: the shard's whole-collection statistics part.
+        - conventional: the shard's whole-collection statistics part,
+          ``num_results, predicted, counter``, then the features of the
+          conjunction ``Q_k ∪ P``.
 
-        An empty local context yields all-zero values (the additive
-        identity) and no candidates; the *global* emptiness check
-        happens after the merge.
+        The features (:meth:`_features`) are four columns, one entry per
+        candidate: global ids, lengths, external ids, and the tf columns
+        of the query's ``term_counts``.  The merge scores them, so no
+        second exchange is needed.  An empty local context yields
+        all-zero values (the additive identity) and no candidates; the
+        *global* emptiness check happens after the merge.
         """
         out = []
         for qid, keywords, predicates, mode, force in tasks:
             keywords, predicates = tuple(keywords), tuple(predicates)
             if mode == MODE_CONVENTIONAL:
-                row = (self._collection_part(keywords),)
+                counter = CostCounter()
+                result_ids = self._op_conjunction.run(
+                    ExecutionContext(counter=counter),
+                    list(keywords), list(predicates),
+                )
+                row = (
+                    self._collection_part(keywords),
+                    len(result_ids),
+                    selective_first_bound(self.index, keywords, predicates),
+                    counter,
+                ) + self._features(keywords, result_ids)
             else:
                 specs = tuple(self.ranking.required_collection_specs(keywords))
                 values, result_ids, path, predicted, counter = (
@@ -229,10 +251,25 @@ class ShardRuntime:
                 else:
                     row = (
                         values, len(result_ids), path, predicted, counter,
-                        result_ids,
-                    )
+                    ) + self._features(keywords, result_ids)
             out.append((qid, keywords, predicates) + row)
         return out
+
+    def _features(
+        self, keywords: Sequence[str], result_ids: Sequence[int]
+    ) -> Tuple[List[int], List[int], List[str], List[List[int]]]:
+        """The candidates' scoring inputs as columns: ``(global ids,
+        lengths, external ids, tf columns)``."""
+        lengths, external_ids, tfs = gather_features(
+            self.index, QueryStatistics.from_keywords(keywords).term_counts,
+            result_ids,
+        )
+        gids = self.global_ids
+        if gids is None:  # a whole index: its ids are already global
+            ids = list(result_ids)
+        else:
+            ids = [gids[doc_id] for doc_id in result_ids]
+        return ids, lengths, external_ids, tfs
 
     def resolve_many(self, tasks: Sequence[tuple]) -> List[tuple]:
         """Context phase 1 that stashes the local result set by ``qid``
@@ -276,66 +313,21 @@ class ShardRuntime:
             out.append((qid, values, path, predicted, counter))
         return out
 
-    # -- phase 2: scoring with merged global statistics -----------------
-
-    def score(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """Context phase 2, stateless: the ``shard_score`` op.
-
-        ``tasks``: ``(qid, keywords, result_ids, values, top_k)`` with
-        this shard's phase-1 candidates and the merged statistics.
-        Returns ``(qid, hits)`` with hits sorted ``(-score, gid)`` and
-        truncated to ``top_k`` — any global top-k document is
-        necessarily in its shard's local top-k, so truncation loses
-        nothing.
-        """
-        return [
-            (qid, self.score_stateless(keywords, result_ids, values, top_k))
-            for qid, keywords, result_ids, values, top_k in tasks
-        ]
-
     def score_many(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """:meth:`score` over the candidates :meth:`resolve_many` stashed.
+        """Score the candidates :meth:`resolve_many` stashed under the
+        merged statistics (the staged benchmark's phase 2).
 
         ``tasks``: ``(qid, values, top_k)``; ``values=None`` just
-        discards the stash entry.  Returns ``(qid, hits)``.
+        discards the stash entry.  Returns ``(qid, hits)`` with hits
+        sorted ``(-score, gid)`` and truncated to ``top_k`` — any global
+        top-k document is necessarily in its shard's local top-k.
         """
         out = []
         for qid, values, top_k in tasks:
             keywords, result_ids = self._stash.pop(qid, ((), []))
             if values is not None:
-                out.append(
-                    (qid, self.score_stateless(keywords, result_ids, values, top_k))
-                )
-        return out
-
-    def score_stateless(
-        self,
-        keywords: Sequence[str],
-        result_ids: Sequence[int],
-        values: Dict[StatisticSpec, float],
-        top_k: Optional[int],
-    ) -> List[_Hit]:
-        """Score one query's candidates under merged statistics."""
-        stats = CollectionStatistics.from_values(values)
-        return self._score(keywords, result_ids, stats, top_k)
-
-    def conventional_many(self, tasks: Sequence[tuple]) -> List[tuple]:
-        """Single-phase conventional baseline ``Q_t = Q_k ∪ P``.
-
-        Whole-collection statistics do not depend on per-shard work, so
-        the parent precomputes them and one dispatch both filters and
-        scores.  ``tasks``: ``(qid, keywords, predicates, stats, top_k)``.
-        Returns ``(qid, hits, num_results, predicted, counter)``.
-        """
-        out = []
-        for qid, keywords, predicates, stats, top_k in tasks:
-            counter = CostCounter()
-            predicted = selective_first_bound(self.index, keywords, predicates)
-            hits, num_results = self._conventional(
-                ExecutionContext(counter=counter), keywords, predicates,
-                stats, top_k,
-            )
-            out.append((qid, hits, num_results, predicted, counter))
+                stats = CollectionStatistics.from_values(values)
+                out.append((qid, self._score(keywords, result_ids, stats, top_k)))
         return out
 
     def topk_many(
@@ -542,6 +534,15 @@ class ShardRuntime:
         return hits, diagnostics
 
 
+def _score_features(
+    score, ids: Sequence[int], lengths: Sequence[int],
+    external_ids: Sequence[str], tfs: Sequence[Sequence[int]],
+) -> List[_Hit]:
+    """One shard's candidate columns (:meth:`ShardRuntime._features`)
+    scored by the query's prepared scorer, as unsorted hits."""
+    return list(zip(score_columns(score, lengths, tfs), ids, external_ids))
+
+
 def _rebuild_query(
     keywords: Sequence[str], predicates: Sequence[str]
 ) -> ContextQuery:
@@ -578,10 +579,12 @@ class ShardMergePlan:
     in-process :class:`ShardedEngine` over its backend, the cluster
     router (:mod:`repro.service.cluster`) over the wire.  Additive
     :class:`StatsMerge` accumulation, the global context-emptiness
-    check, global per-term score bounds, each mode's phase-2 tasks and
-    the final ``(-score, gid)`` rank all live here — so the local and
-    over-the-wire paths cannot drift apart: identical shard outputs
-    merge to bit-identical rankings regardless of transport.
+    check, the scoring of every shard's candidate columns (context and
+    conventional), global per-term score bounds and the disjunctive
+    phase-2 tasks, and the final ``(-score, gid)`` rank all live here —
+    so the local and over-the-wire paths cannot drift apart: identical
+    shard outputs merge to bit-identical rankings regardless of
+    transport.
 
     The caller owns phase 1 (who analyses the query), dispatch and
     failure bookkeeping; this object owns merge state keyed by query
@@ -631,35 +634,39 @@ class ShardMergePlan:
 
         ``live`` are the registered qids; ``resolved`` holds one
         ``{qid: row}`` per shard, ``row`` the :meth:`ShardRuntime.resolve`
-        tuple after its qid.  Yields ``(op, per-shard tasks, qids)``; the
-        caller sends back one ``{qid: row}`` per shard (the op's reply
-        after the qid).  Returns ``{qid: SearchResults | ReproError}``.
+        tuple after its qid.  Context and conventional batches finish
+        here, without yielding: the rows carry the candidates' features.
+        A disjunctive batch yields ``(OP_SHARD_TOPK, per-shard tasks,
+        qids)`` once; the caller sends back one ``{qid: row}`` per shard
+        (the op's reply after the qid).  Returns ``{qid: SearchResults |
+        ReproError}``.
         """
         outcomes: Dict[int, Union[SearchResults, ReproError]] = {}
         if self.mode == MODE_CONVENTIONAL:
             # Whole-collection statistics are exact sums of the shards'
-            # parts; one exchange then filters and scores.
-            tasks = []
+            # parts, and the candidates came with them.
             for qid in live:
-                query = self.query(qid)
                 stats = self.merge_collection_stats(
                     [rows[qid][2] for rows in resolved]
                 )
-                tasks.append(
-                    (qid, query.keywords, query.predicates, stats, self.top_k)
-                )
-            replies = yield OP_SHARD_CONVENTIONAL, [tasks] * len(resolved), live
-            for shard_id, rows in enumerate(replies):
-                for qid in live:
-                    self.add_conventional(qid, shard_id, *rows[qid])
-            return {qid: self.finish(qid) for qid in live}
+                score = self._prepare(qid, stats)
+                for shard_id, rows in enumerate(resolved):
+                    _, _, _, num_results, predicted, counter, *features = (
+                        rows[qid]
+                    )
+                    self.add_conventional(
+                        qid, shard_id, _score_features(score, *features),
+                        num_results, predicted, counter,
+                    )
+                outcomes[qid] = self.finish(qid)
+            return outcomes
 
         context = self.mode == MODE_CONTEXT
         for shard_id, rows in enumerate(resolved):
             for qid in live:
                 if context:
-                    _, _, values, num_results, path, predicted, counter, _ = (
-                        rows[qid]
+                    _, _, values, num_results, path, predicted, counter = (
+                        rows[qid][:7]
                     )
                 else:
                     _, _, values, path, predicted, counter, _ = rows[qid]
@@ -678,25 +685,14 @@ class ShardMergePlan:
             return outcomes
 
         if context:
-            # Each shard re-scores its own phase-1 candidates under the
-            # merged statistics; the ids travel with the task.
-            tasks = [
-                [
-                    (
-                        qid,
-                        self.query(qid).keywords,
-                        rows[qid][-1],
-                        self.merged_values(qid),
-                        self.top_k,
-                    )
-                    for qid in survivors
-                ]
-                for rows in resolved
-            ]
-            replies = yield OP_SHARD_SCORE, tasks, survivors
-            for rows in replies:
-                for qid in survivors:
-                    self.add_hits(qid, rows[qid][0])
+            # Every shard's candidates, scored here under the merged
+            # statistics: the same integer inputs the shard would use.
+            for qid in survivors:
+                score = self._prepare(
+                    qid, CollectionStatistics.from_values(self.merged_values(qid))
+                )
+                for rows in resolved:
+                    self.add_hits(qid, _score_features(score, *rows[qid][7:]))
         else:
             tasks = []
             for qid in survivors:
@@ -812,8 +808,13 @@ class ShardMergePlan:
         return None
 
     def merged_values(self, qid: int) -> Dict[StatisticSpec, float]:
-        """The merged additive statistic values (broadcast in phase 2)."""
+        """The merged additive statistic values."""
         return self._queries[qid].values
+
+    def _prepare(self, qid: int, stats: CollectionStatistics):
+        """The query's prepared scorer under the merged ``stats``."""
+        query_stats = QueryStatistics.from_keywords(self.query(qid).keywords)
+        return self.ranking.prepare(query_stats, stats)
 
     def term_bounds(self, qid: int, max_tf_of) -> Dict[str, float]:
         """Global per-term score upper bounds for every shard's scorer.
@@ -862,11 +863,11 @@ class ShardMergePlan:
             cardinality=num_docs, total_length=total_length, df=df, tc=tc
         )
 
-    # -- phase 2: scored candidates --------------------------------------
+    # -- scored candidates -----------------------------------------------
 
     def add_hits(self, qid: int, hits: Sequence[_Hit]) -> None:
         """Context mode: one shard's scored candidates (report already
-        folded in phase 1)."""
+        folded at the resolve)."""
         self._queries[qid].hits.extend(hits)
 
     def add_conventional(
@@ -878,7 +879,8 @@ class ShardMergePlan:
         predicted: int,
         counter: CostCounter,
     ) -> None:
-        """Conventional mode's single phase: hits + per-shard report."""
+        """Conventional mode: one shard's scored candidates + its
+        report slice."""
         state = self._queries[qid]
         state.hits.extend(hits)
         state.report.result_size += num_results
@@ -1030,7 +1032,7 @@ class _ForkBackend:
     its per-term cache) warm in one child.  Fork (not spawn) start: children
     get the built indexes by copy-on-write page sharing instead of
     pickling gigabytes of postings; per-query inputs and outputs,
-    candidate ids included, are pickled both ways.
+    candidate features included, are pickled.
     """
 
     name = "fork"
@@ -1308,8 +1310,9 @@ class ShardedEngine:
         """Evaluate a workload with one scatter-gather round per phase.
 
         The batch shape is what makes sharding pay at serving time: a
-        batch of B queries costs two dispatches per shard (one per phase),
-        not 2·B, so per-task overhead amortises across the workload.
+        batch of B queries costs one dispatch per shard per phase (one
+        phase, two for disjunctive), not one per query, so per-task
+        overhead amortises across the workload.
         Outcomes come back in input order; per-query failures (empty
         context, stopword-only keywords, …) are recorded, never raised.
         ``max_workers`` is accepted for the shared batch signature and

@@ -240,15 +240,18 @@ def _merge_posting_maps(
                 columns = (array("q"), array("q"))
                 merged[term] = columns
             ids, tfs = columns
-            if tombstones and any(d in tombstones for d in plist.doc_ids):
-                for doc_id, tf in zip(plist.doc_ids, plist.tfs):
+            # Bulk columns: a lazy v4 list decodes without promoting,
+            # so the old segment pins none of its lists.
+            list_ids, list_tfs = plist.columns()
+            if tombstones and not tombstones.isdisjoint(list_ids):
+                for doc_id, tf in zip(list_ids, list_tfs):
                     if doc_id not in tombstones:
                         ids.append(doc_id)
                         tfs.append(tf)
             else:
                 # No deletions touch this list: one C-level extend.
-                ids.extend(plist.doc_ids)
-                tfs.extend(plist.tfs)
+                ids.extend(list_ids)
+                tfs.extend(list_tfs)
     return {
         term: PostingList.from_arrays(
             term, ids, tfs, segment_size=segment_size, validate=False

@@ -308,14 +308,16 @@ class Snapshot:
         tfs = array("q")
         tombstones = self.tombstones
         for idx, plist in contributors:
+            # Bulk columns: a lazy v4 list decodes without promoting.
+            list_ids, list_tfs = plist.columns()
             if idx in self._dirty_segments:
-                for doc_id, tf in zip(plist.doc_ids, plist.tfs):
+                for doc_id, tf in zip(list_ids, list_tfs):
                     if doc_id not in tombstones:
                         ids.append(doc_id)
                         tfs.append(tf)
             else:
-                ids.extend(plist.doc_ids)
-                tfs.extend(plist.tfs)
+                ids.extend(list_ids)
+                tfs.extend(list_tfs)
         if not ids:
             return self._empty
         return PostingList.from_arrays(

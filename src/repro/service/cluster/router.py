@@ -11,18 +11,23 @@ into the tuples :class:`~repro.core.sharded_engine.ShardRuntime` returns
 in process (the shard-op codec in :mod:`~repro.service.protocol`), and
 drives the *same* :meth:`~repro.core.sharded_engine.ShardMergePlan.fold`
 the in-process engine drives.  That shared fold is the whole consistency
-argument: additive statistics, the global emptiness check, per-term
-score bounds, each mode's phase-2 tasks, and the final ``(-score, gid)``
-rank are one code path, so router rankings are bit-identical to a
-single-process :class:`~repro.core.sharded_engine.ShardedEngine` over
-the same shards.
+argument: additive statistics, the global emptiness check, the scoring
+of every shard's candidate features, per-term score bounds, the
+disjunctive phase-2 tasks, and the final ``(-score, gid)`` rank are one
+code path, so router rankings are bit-identical to a single-process
+:class:`~repro.core.sharded_engine.ShardedEngine` over the same shards.
+A context or conventional query costs one exchange per shard: the
+``shard_resolve`` reply carries the candidates' ids, lengths, external
+ids and tf columns, and the router scores them under the merged
+statistics.  A disjunctive query costs two (``shard_topk`` needs the
+global bounds).
 
 Failover: every shard has an N-way replica group (consistent-hash
 placement from the cluster config).  An attempt that times out, cannot
 connect, or returns a frame that does not decode (torn, not JSON, not
 ok, or not the op's layout from this group's shard) marks the replica
-and the query is retried on a sibling — phase-1 candidate ids travel
-through the router, so any replica of the group can serve any phase.
+and the query is retried on a sibling — every shard op is stateless,
+so any replica of the group can serve any phase.
 A replica is *down* after ``fail_threshold`` consecutive failures
 (in-flight or health probe) and is skipped until a ``healthz`` probe
 succeeds again; when a whole group is down the affected queries shed
@@ -411,8 +416,9 @@ class RouterService(QueryService):
     arrival, coalescing by (mode, top_k, path), and the response
     envelope — is inherited.  Per coalesced batch, :meth:`_run_batch`
     drops tickets whose deadline passed, then runs the phase-1
-    ``shard_resolve`` scatter (workers analyse; additive stats come
-    back) and drives :meth:`ShardMergePlan.fold` over the wire.  A
+    ``shard_resolve`` scatter (workers analyse; additive stats and
+    candidate features come back) and drives
+    :meth:`ShardMergePlan.fold` over the wire.  A
     group with no replica left that answers sheds the batch; a query a
     worker failed errors alone.  What is its own:
     replica groups with health probes and failover, the version

@@ -4,9 +4,9 @@
 the cluster ops bolted on — the same asyncio transport, admission
 control, metrics, and ``healthz`` an operator already knows, plus:
 
-- the shard-phase ops (``shard_resolve`` / ``shard_score`` /
-  ``shard_topk`` / ``shard_conventional``) the router scatter-gathers,
-  evaluated by the *same* :class:`~repro.core.sharded_engine.ShardRuntime`
+- the shard query ops (``shard_resolve`` / ``shard_topk``) the router
+  scatter-gathers, evaluated by the *same*
+  :class:`~repro.core.sharded_engine.ShardRuntime`
   the in-process backends drive (there is no worker-specific resolution
   or scoring code — that is the bit-identity argument's first half).
   Frames are read and built only through the shard-op codec in
@@ -22,18 +22,23 @@ control, metrics, and ``healthz`` an operator already knows, plus:
   catalog generation, and acks with its new
   :class:`~repro.core.backend.VersionVector`.
 
-Shard ops are *stateless*: phase 1 returns the shard's local candidate
-ids to the router, which sends them back with phase 2, so phase 2 may
-land on any replica of the group.  Plain ``query`` ops still work
-and answer over the shard's *local* statistics — useful for poking one
-worker, but the globally-merged ranking lives at the router.
+Shard ops are *stateless*: a resolve returns its candidates' scoring
+inputs (ids, lengths, external ids, tf columns) for the router to score,
+so a disjunctive top-k may land on any replica of the group.  Plain
+``query`` ops still work and answer over the shard's *local* statistics
+— useful for poking one worker, but the globally-merged ranking lives at
+the router.
 
-A batch of shard tasks arrives as one frame and is executed on the
-service's worker pool off the event loop; per-task failures (stopword
-keywords, bad syntax) come back as per-task error entries, and a
-malformed payload is a readable per-frame error — never a traceback
-on the router's socket.  Every cluster-op reply carries this worker's
-shard id, which the router checks against the group it called.
+A batch of shard tasks arrives as one frame.  The two query ops run
+inline on the event loop: they are pure Python, so under one GIL a pool
+thread gave them no parallelism, only a hop each way.  A health probe
+behind a running op waits for it, bounded by the router's per-attempt
+timeout; ``install_catalog`` and the shipping ops stay on the pool.
+Per-task failures (stopword keywords, bad syntax) come back as per-task
+error entries, and a malformed payload is a readable per-frame error —
+never a traceback on the router's socket.  Every cluster-op reply
+carries this worker's shard id, which the router checks against the
+group it called.
 """
 
 from __future__ import annotations
@@ -54,9 +59,7 @@ from ..protocol import (
     MAX_CLUSTER_LINE_BYTES,
     OP_INSTALL_CATALOG,
     OP_SEGMENT_MANIFEST,
-    OP_SHARD_CONVENTIONAL,
     OP_SHARD_RESOLVE,
-    OP_SHARD_SCORE,
     OP_SHARD_TOPK,
     STATUS_ERROR,
     STATUS_OK,
@@ -96,6 +99,8 @@ class ShardWorkerService(QueryService):
     # -- dispatch --------------------------------------------------------
 
     async def handle_request(self, request: Request) -> dict:
+        if request.op in SHARD_OP_METHODS:
+            return self._cluster_request(request)
         if request.op in CLUSTER_OPS:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
@@ -131,11 +136,11 @@ class ShardWorkerService(QueryService):
     def _dispatch_cluster(self, op: str, payload: dict) -> dict:
         if op == OP_SHARD_RESOLVE:
             return self._shard_resolve(payload)
-        if op in (OP_SHARD_SCORE, OP_SHARD_TOPK, OP_SHARD_CONVENTIONAL):
-            # Phase 2: the router's tasks are ShardRuntime's own tuples;
-            # candidate ids and merged statistics travel with the task.
+        if op == OP_SHARD_TOPK:
+            # Disjunctive phase 2: the router's tasks are ShardRuntime's
+            # own tuples; merged statistics and bounds travel with them.
             tasks = decode_shard_tasks(op, payload, self.ranking)
-            rows = getattr(self.runtime, SHARD_OP_METHODS[op])(tasks)
+            rows = self.runtime.topk_many(tasks)
             return encode_shard_reply(encode_shard_entry(op, row) for row in rows)
         if op == OP_INSTALL_CATALOG:
             return self._install_catalog(payload)
@@ -185,8 +190,9 @@ class ShardWorkerService(QueryService):
         over its own shard (exact — df/tc aggregate distributively
         across shards), swaps its shared :class:`CatalogHandle`, adopts
         the router's generation, and acks with its new version vector.
-        Runs on the worker pool (materialisation is CPU work), already
-        off the event loop via ``handle_request``.
+        Runs on the worker pool (materialisation is CPU work, long
+        enough to stall the loop's health answers), off the event loop
+        via ``handle_request``.
         """
         definitions = decode_catalog_frame(payload["catalog"])
         generation = payload.get("generation")

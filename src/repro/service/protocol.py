@@ -39,13 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.logical import MODE_CONTEXT, MODE_CONVENTIONAL, MODE_DISJUNCTIVE
 from ..core.report import _counter_to_dict
-from ..core.sharded_engine import (
-    OP_SHARD_CONVENTIONAL,
-    OP_SHARD_RESOLVE,
-    OP_SHARD_SCORE,
-    OP_SHARD_TOPK,
-)
-from ..core.statistics import CollectionStatistics
+from ..core.sharded_engine import OP_SHARD_RESOLVE, OP_SHARD_TOPK
 from ..errors import ReproError
 from ..index.postings import CostCounter
 
@@ -71,10 +65,11 @@ __all__ = [
 # cannot balloon the reader buffer.
 MAX_LINE_BYTES = 1 << 20
 
-# Shard workers accept bigger frames: a router batch ships merged
-# statistic values and candidate id lists for every query in the batch
-# on one line.  Only the cluster-internal listener raises its limit;
-# client-facing servers keep MAX_LINE_BYTES.
+# Cluster-internal lines are bigger: one line carries a whole batch, a
+# top-k request's merged statistics or a resolve reply's candidate
+# features for every query.  Only the shard worker's listener and the
+# router's worker connections raise their limit; client-facing servers
+# keep MAX_LINE_BYTES.
 MAX_CLUSTER_LINE_BYTES = 1 << 26
 
 OP_QUERY = "query"
@@ -82,7 +77,7 @@ OP_HEALTHZ = "healthz"
 OP_METRICS = "metrics"
 
 # Cluster-internal ops, spoken between the router and shard workers
-# (service/cluster/).  decode_request only routes them; the four shard
+# (service/cluster/).  decode_request only routes them; the two shard
 # ops (named beside ShardRuntime, whose methods serve them) are laid out
 # by the codec at the end of this module.  A plain single-engine server
 # politely rejects them (see QueryService).
@@ -91,9 +86,7 @@ OP_FETCH_SEGMENT = "fetch_segment"
 OP_INSTALL_CATALOG = "install_catalog"
 CLUSTER_OPS = (
     OP_SHARD_RESOLVE,
-    OP_SHARD_SCORE,
     OP_SHARD_TOPK,
-    OP_SHARD_CONVENTIONAL,
     OP_SEGMENT_MANIFEST,
     OP_FETCH_SEGMENT,
     OP_INSTALL_CATALOG,
@@ -259,37 +252,42 @@ class ServiceClient:
 # takes or returns in process, ``(qid, *fields)``.  Statistic ``values``
 # travel in the order of the item's ``required_collection_specs``.
 # Reply decoding is the router's one check of a worker reply: a frame
-# from the wrong shard, an unanswered qid, or a missing or mistyped
-# field raises ProtocolError.
+# from the wrong shard, an unanswered qid, a missing or mistyped field,
+# or candidate feature columns that do not line up raise ProtocolError.
 
 # Per shard op, the fields of a request task after ``qid``.
 _TASKS = {
     OP_SHARD_RESOLVE: ("query", "mode", "force"),
-    OP_SHARD_SCORE: ("keywords", "result_ids", "values", "top_k"),
     OP_SHARD_TOPK: (
         "keywords", "predicates", "values", "k", "term_bounds", "block_max",
     ),
-    OP_SHARD_CONVENTIONAL: ("keywords", "predicates", "stats", "top_k"),
 }
+
+# A resolve's candidate features (ShardRuntime._features): one entry per
+# candidate in each of the first three columns, and one tf column per
+# distinct keyword in ``tfs``.
+_FEATURES = ("ids", "lengths", "external_ids", "tfs")
 
 # Per (shard op, mode), the fields of a reply entry after ``qid``: the
 # row of the ShardRuntime method serving the op.  A phase-1 entry is the
 # worker's analysed terms, then ``ShardRuntime.resolve``'s slice for the
-# mode: statistics and candidate ids (context), statistics and per-term
-# max tf (disjunctive), or the whole-collection statistics part.
+# mode: statistics and candidate features (context), statistics and
+# per-term max tf (disjunctive), or the whole-collection statistics part
+# and candidate features (conventional).
 _ENTRIES = {
     (OP_SHARD_RESOLVE, MODE_CONTEXT): (
         "keywords", "predicates", "values", "num_results", "path",
-        "predicted", "counter", "result_ids",
-    ),
+        "predicted", "counter",
+    ) + _FEATURES,
     (OP_SHARD_RESOLVE, MODE_DISJUNCTIVE): (
         "keywords", "predicates", "values", "path", "predicted", "counter",
         "max_tf",
     ),
-    (OP_SHARD_RESOLVE, MODE_CONVENTIONAL): ("keywords", "predicates", "collection"),
-    (OP_SHARD_SCORE, None): ("hits",),
+    (OP_SHARD_RESOLVE, MODE_CONVENTIONAL): (
+        "keywords", "predicates", "collection", "num_results", "predicted",
+        "counter",
+    ) + _FEATURES,
     (OP_SHARD_TOPK, None): ("hits", "counter", "topk"),
-    (OP_SHARD_CONVENTIONAL, None): ("hits", "num_results", "predicted", "counter"),
 }
 
 
@@ -297,6 +295,28 @@ def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
     return value
+
+
+def _ints(value) -> list:
+    """A list of JSON integers, as is: a float or a bool would reach the
+    scorer as a different input than the worker read."""
+    if not all(type(item) is int for item in _list(value)):
+        raise TypeError("expected a list of integers")
+    return value
+
+
+def _check_features(row: dict) -> None:
+    """The feature columns of one decoded entry line up."""
+    count = row["num_results"]
+    columns = [row["ids"], row["lengths"], row["external_ids"], *row["tfs"]]
+    if any(len(column) != count for column in columns):
+        raise ValueError(
+            f"feature columns of lengths {[len(c) for c in columns]} "
+            f"for num_results {count}"
+        )
+    terms = len(dict.fromkeys(row["keywords"]))
+    if len(row["tfs"]) != terms:
+        raise ValueError(f"{len(row['tfs'])} tf columns for {terms} terms")
 
 
 def _counts(value) -> Dict[str, int]:
@@ -314,13 +334,6 @@ def _collection_part(value) -> dict:
     }
 
 
-def _statistics(value) -> CollectionStatistics:
-    part = _collection_part(value)
-    return CollectionStatistics(
-        part["num_docs"], part["total_length"], part["df"], part["tc"]
-    )
-
-
 # Every field's conversion from its JSON value (``values`` aside).
 _FROM_WIRE = {
     "query": str,
@@ -328,12 +341,13 @@ _FROM_WIRE = {
     "force": lambda path: None if path == "auto" else str(path),
     "keywords": lambda terms: tuple(str(term) for term in _list(terms)),
     "predicates": lambda terms: tuple(str(term) for term in _list(terms)),
-    "result_ids": lambda ids: [int(i) for i in _list(ids)],
-    "top_k": lambda k: None if k is None else int(k),
     "k": int,
     "term_bounds": lambda bounds: {str(t): float(b) for t, b in bounds.items()},
     "block_max": bool,
-    "stats": _statistics,
+    "ids": _ints,
+    "lengths": _ints,
+    "external_ids": lambda ids: [str(i) for i in _list(ids)],
+    "tfs": lambda columns: [_ints(column) for column in _list(columns)],
     "hits": lambda hits: [(float(s), int(g), str(e)) for s, g, e in _list(hits)],
     "num_results": int,
     "path": str,
@@ -345,15 +359,7 @@ _FROM_WIRE = {
 }
 
 # The fields whose in-process value is not already JSON.
-_TO_WIRE = {
-    "counter": _counter_to_dict,
-    "stats": lambda stats: {
-        "num_docs": stats.cardinality,
-        "total_length": stats.total_length,
-        "df": stats.df,
-        "tc": stats.tc,
-    },
-}
+_TO_WIRE = {"counter": _counter_to_dict}
 
 
 def _to_wire(fields: Sequence[str], row: tuple, ranking) -> dict:
@@ -369,12 +375,12 @@ def _to_wire(fields: Sequence[str], row: tuple, ranking) -> dict:
 
 
 def _from_wire(fields: Sequence[str], item: dict, ranking) -> tuple:
-    row = [int(item["qid"])]
+    row = {"qid": int(item["qid"])}
     for name in fields:
         if name != "values":
-            row.append(_FROM_WIRE[name](item[name]))
+            row[name] = _FROM_WIRE[name](item[name])
             continue
-        specs = ranking.required_collection_specs(row[1])
+        specs = ranking.required_collection_specs(row["keywords"])
         packed = _list(item[name])
         if len(packed) != len(specs) or not all(
             isinstance(value, (int, float)) for value in packed
@@ -383,8 +389,10 @@ def _from_wire(fields: Sequence[str], item: dict, ranking) -> tuple:
                 f"{len(packed)} statistic values for {len(specs)} numeric "
                 "specs (router/worker ranking mismatch?)"
             )
-        row.append(dict(zip(specs, packed)))
-    return tuple(row)
+        row[name] = dict(zip(specs, packed))
+    if "tfs" in row:
+        _check_features(row)
+    return tuple(row.values())
 
 
 def encode_shard_request(op: str, tasks: Sequence[tuple], ranking=None) -> dict:

@@ -25,7 +25,9 @@ import pytest
 
 from repro import ContextSearchEngine, ViewCatalog, materialize_view
 from repro.core.backend import VersionVector
-from repro.core.sharded_engine import ShardedEngine
+from repro.core.query import analyze_query, parse_query
+from repro.core.ranking import DEFAULT_RANKING_FUNCTION
+from repro.core.sharded_engine import OP_SHARD_RESOLVE, ShardedEngine, ShardRuntime
 from repro.errors import QueryError, ReproError, SelectionError
 from repro.index.sharded import ShardedInvertedIndex
 from repro.service import (
@@ -51,7 +53,13 @@ from repro.service.cluster import (
     router_thread,
     worker_thread,
 )
-from repro.service.protocol import Request
+from repro.service.protocol import (
+    ProtocolError,
+    Request,
+    decode_shard_reply,
+    encode_shard_entry,
+    encode_shard_reply,
+)
 from repro.storage import load_shard, save_sharded_index
 from repro.views import WideSparseTable
 
@@ -167,6 +175,51 @@ def drop_statistic_values(worker: ServerThread) -> str:
 
     service._resolve_one = without_values
     return "{}:{}".format(*worker.address)
+
+
+def corrupt_features(worker: ServerThread, mutate) -> str:
+    """Make one worker pass each phase-1 entry that carries candidate
+    features (context, conventional) through ``mutate`` before sending
+    it; returns the worker's address."""
+    service = worker.service
+    resolve_one = service._resolve_one
+
+    def corrupted(*args):
+        entry = resolve_one(*args)
+        if "tfs" in entry:
+            mutate(entry)
+        return entry
+
+    service._resolve_one = corrupted
+    return "{}:{}".format(*worker.address)
+
+
+def _extra_id(entry):
+    entry["ids"].append(10**9)
+
+
+def _float_tf(entry):
+    # A whole extra candidate, every column in line, whose tf is a float.
+    entry["ids"].append(10**9)
+    entry["lengths"].append(3)
+    entry["external_ids"].append("X")
+    for column in entry["tfs"]:
+        column.append(1.5)
+    entry["num_results"] += 1
+
+
+def _num_results_off(entry):
+    entry["num_results"] += 1
+
+
+# Three ways a resolve entry's features can fail to line up, each a
+# ProtocolError at the router: columns of unequal length, a tf that is
+# not an int, and a num_results that is not the candidate count.
+BAD_FEATURES = {
+    "unequal-columns": _extra_id,
+    "non-int-tf": _float_tf,
+    "num-results": _num_results_off,
+}
 
 
 def assert_router_matches(client, engine, query, mode, top_k=10):
@@ -390,6 +443,36 @@ class TestFailover:
             finally:
                 client.close()
 
+    @pytest.mark.parametrize("fault", sorted(BAD_FEATURES))
+    def test_bad_features_fail_over_to_a_sibling(self, handmade_index, fault):
+        with running_cluster(handmade_index, 2, 2, fail_threshold=1) as (
+            sharded,
+            groups,
+            router,
+        ):
+            # Shard 0's first replica is the first one the router tries.
+            address = corrupt_features(groups[0][0], BAD_FEATURES[fault])
+            engine = ShardedEngine(sharded, executor="serial")
+            client = ServiceClient(*router.address)
+            try:
+                for mode in ("context", "conventional"):
+                    for query in QUERIES:
+                        assert_router_matches(client, engine, query, mode)
+                metrics = client.request({"op": "metrics"})
+                health = client.request({"op": "healthz"})
+            finally:
+                client.close()
+                engine.close()
+        assert metrics["router"]["failovers"] >= 1
+        assert metrics["router"]["group_down_sheds"] == 0
+        (replica,) = [
+            replica
+            for replica in health["groups"][0]["replicas"]
+            if replica["address"] == address
+        ]
+        assert replica["state"] == "down"
+        assert "malformed shard_resolve entry" in replica["last_error"]
+
     def test_miswired_group_sheds_naming_both_shards(self, handmade_index):
         """Both groups list shard 0's worker: its replies, stamped shard
         0, are refused for group 1 instead of being merged twice."""
@@ -428,6 +511,54 @@ class TestFailover:
             client.close()
             router.stop(timeout=10.0)
             worker.stop(timeout=10.0)
+
+
+def resolve_entry(index, mode="context") -> dict:
+    """Query 7's resolve entry from a runtime over the whole handmade
+    index: one candidate (C1), two distinct terms."""
+    query = analyze_query(
+        parse_query("pancreas outcomes pancreas | DigestiveSystem"),
+        index.analyzer,
+        index.predicate_analyzer,
+    )
+    runtime = ShardRuntime(index, DEFAULT_RANKING_FUNCTION, None)
+    (row,) = runtime.resolve([(7, query.keywords, query.predicates, mode, None)])
+    return encode_shard_entry(OP_SHARD_RESOLVE, row, DEFAULT_RANKING_FUNCTION, mode)
+
+
+def decode_entry(entry: dict, mode="context") -> tuple:
+    """The router's decoding of a reply holding just ``entry``."""
+    frame = encode_shard_reply([json.loads(json.dumps(entry))]) | {"shard": 0}
+    return decode_shard_reply(
+        OP_SHARD_RESOLVE, frame, 0, [7], DEFAULT_RANKING_FUNCTION, mode
+    )[7]
+
+
+class TestFeatureCodec:
+    """The resolve entry's feature columns, checked where the router
+    decodes a reply."""
+
+    @pytest.mark.parametrize("mode", ["context", "conventional"])
+    def test_round_trip(self, handmade_index, mode):
+        entry = resolve_entry(handmade_index, mode)
+        assert entry["num_results"] == 1 and len(entry["tfs"]) == 2
+        assert decode_entry(entry, mode)[-4:] == (
+            entry["ids"], entry["lengths"], entry["external_ids"], entry["tfs"]
+        )
+
+    @pytest.mark.parametrize("fault", sorted(BAD_FEATURES))
+    @pytest.mark.parametrize("mode", ["context", "conventional"])
+    def test_bad_features_raise(self, handmade_index, fault, mode):
+        entry = resolve_entry(handmade_index, mode)
+        BAD_FEATURES[fault](entry)
+        with pytest.raises(ProtocolError, match="malformed shard_resolve"):
+            decode_entry(entry, mode)
+
+    def test_missing_tf_column_raises(self, handmade_index):
+        entry = resolve_entry(handmade_index)
+        entry["tfs"].pop()
+        with pytest.raises(ProtocolError, match="1 tf columns for 2 terms"):
+            decode_entry(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +927,29 @@ class TestRouterObservability:
                 client.close()
 
 
+    @pytest.mark.parametrize(
+        "mode, exchanges",
+        [("context", 1), ("conventional", 1), ("disjunctive", 2)],
+    )
+    def test_exchanges_per_query(self, handmade_index, mode, exchanges):
+        """A context or conventional query costs one attempt per shard
+        (the resolve carries the candidates' features); a disjunctive
+        query costs two (the top-k needs the merged bounds)."""
+        with running_cluster(handmade_index, 2, 1) as (_s, _g, router):
+            client = ServiceClient(*router.address)
+            try:
+                for n, query in enumerate(QUERIES[:3], start=1):
+                    response = client.query(query, top_k=10, mode=mode)
+                    assert response["status"] == "ok", response
+                    per_shard = client.request({"op": "metrics"})["router"][
+                        "per_shard"
+                    ]
+                    for stats in per_shard.values():
+                        assert stats["attempts"] == n * exchanges
+            finally:
+                client.close()
+
+
 # ---------------------------------------------------------------------------
 # Front-end parity: the router runs the single-node request lifecycle
 
@@ -889,10 +1043,9 @@ class TestRouterFrontEnd(FrontEndCases):
         assert response["status"] == "timeout"
         assert "deadline" in response["error"]
         assert metrics["timeouts"] == 1
-        # Only the first query went out: one resolve and one score
-        # exchange per shard.
+        # Only the first query went out: one resolve exchange per shard.
         for stats in metrics["router"]["per_shard"].values():
-            assert stats["attempts"] == 2
+            assert stats["attempts"] == 1
 
     def test_metrics_keep_every_single_node_key(
         self, front_end, handmade_engine

@@ -24,6 +24,7 @@ from repro.index.postings import (
     LazyPostingList,
     PostingCursor,
 )
+from repro.lifecycle import SegmentedIndex
 from repro.storage import StorageError, load_index, save_index
 
 K = 5
@@ -221,3 +222,52 @@ class TestClose:
             unpromoted.doc_ids[0]
         assert not unpromoted.materialized
         assert len(unpromoted) == len(corpus_index.postings(unpromoted.term))
+
+
+def compacted_postings(index):
+    """``{space: {term: (ids, tfs)}}`` of the single compacted segment."""
+    (segment,) = index._segments
+    return {
+        space: {
+            term: (list(ids), list(tfs))
+            for term, (ids, tfs) in (
+                (term, plist.columns())
+                for term, plist in getattr(segment, space).items()
+            )
+        }
+        for space in ("content", "predicates")
+    }
+
+
+class TestCompactionStaysLazy:
+    def build(self, index, documents):
+        """Two flushed segments and two deletions across them."""
+        index.add_documents(documents[:120])
+        index.flush()
+        index.add_documents(documents[120:])
+        index.flush()
+        index.delete_documents([documents[5].doc_id, documents[150].doc_id])
+        return index
+
+    def test_full_compaction_promotes_no_old_list(self, corpus, tmp_path):
+        documents = corpus.documents[:240]
+        self.build(SegmentedIndex.open(tmp_path / "v4"), documents).close()
+        # The in-memory twin: plain posting lists, the same merge.
+        reference = self.build(SegmentedIndex(), documents)
+        reference.compact(full=True)
+
+        index = SegmentedIndex.open(tmp_path / "v4")
+        try:
+            old = [
+                plist
+                for segment in index._segments
+                for space in (segment.content, segment.predicates)
+                for plist in space.values()
+            ]
+            assert len(index._segments) == 2
+            assert old and all(isinstance(p, LazyPostingList) for p in old)
+            assert index.compact(full=True).changed
+            assert not any(plist.materialized for plist in old)
+            assert compacted_postings(index) == compacted_postings(reference)
+        finally:
+            index.close()

@@ -301,9 +301,18 @@ class TestCandidatesArriveAscending:
         assert_ascending(calls)
 
     def test_sharded_shard(self, monkeypatch, corpus_index, probe):
+        """A shard gathers its candidates' features (the merge scores
+        them), so the ascending ids reach ``gather_features``."""
         predicate, term = probe
         sharded = ShardedInvertedIndex.from_index(corpus_index, 3)
-        calls = spy_on_scoring(monkeypatch, sharded_engine_module)
+        calls = []
+        real = sharded_engine_module.gather_features
+
+        def spy(index, terms, result_ids):
+            calls.append(list(result_ids))
+            return real(index, terms, result_ids)
+
+        monkeypatch.setattr(sharded_engine_module, "gather_features", spy)
         with ShardedEngine(sharded, executor="serial") as engine:
             engine.search(f"{term} | {predicate}")
         assert len(calls) == 3
