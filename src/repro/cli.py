@@ -3,19 +3,22 @@
 The stages mirror how the paper's system would be deployed::
 
     python -m repro generate --docs 8000 --seed 7 --out corpus.json.gz
-    python -m repro index    --corpus corpus.json.gz --out index.json.gz
-    python -m repro select   --index index.json.gz --t-c-percent 1 \
+    python -m repro index    --corpus corpus.json.gz --out index.bin
+    python -m repro select   --index index.bin --t-c-percent 1 \
                              --t-v 1024 --out catalog.json.gz
-    python -m repro search   --index index.json.gz --catalog catalog.json.gz \
+    python -m repro search   --index index.bin --catalog catalog.json.gz \
                              "pancreas leukemia | DigestiveSystem"
-    python -m repro stats    --index index.json.gz --catalog catalog.json.gz
+    python -m repro stats    --index index.bin --catalog catalog.json.gz
+
+``index`` writes the binary v4 format whatever the ``--out`` suffix; a
+JSON index of an earlier release converts with ``tools/upgrade_index.py``.
 
 ``explain`` prints the planner's decision record for a query — the
 logical plan, every candidate path with its predicted cost, the chosen
 path, and predicted vs. actual operation counts (``--path`` forces a
 path)::
 
-    python -m repro explain --index index.json.gz --catalog catalog.json.gz \
+    python -m repro explain --index index.bin --catalog catalog.json.gz \
                             "pancreas leukemia | DigestiveSystem"
 
 ``search`` accepts ``--conventional`` for the baseline ranking,
@@ -25,7 +28,7 @@ per line) through the engine's ``search_many`` — for a flat index, the
 :class:`~repro.core.engine.BatchExecutor`, sharing context
 materialisations and posting columns across queries::
 
-    python -m repro batch --index index.json.gz --queries workload.txt
+    python -m repro batch --index index.bin --queries workload.txt
 
 ``index --shards N`` partitions the collection and writes a sharded
 index (manifest + one file per shard); ``search``/``batch``/``stats``
@@ -39,9 +42,9 @@ micro-batching, admission control, deadlines, and the serving cache;
 ``bench-serve`` starts a server in-process and drives it with the
 closed-loop load generator::
 
-    python -m repro serve --index index.json.gz --catalog catalog.json.gz \
+    python -m repro serve --index index.bin --catalog catalog.json.gz \
                           --port 7070
-    python -m repro bench-serve --index index.json.gz \
+    python -m repro bench-serve --index index.bin \
                           --queries workload.txt --threads 8
 
 ``serve --adaptive`` adds continuous workload-adaptive view selection:
@@ -52,7 +55,7 @@ rankings are unchanged, only cost.  ``--save-catalog`` persists the
 final catalog with its hot-swap generation and reselection stats, which
 ``info --catalog`` reports back::
 
-    python -m repro serve --index index.json.gz --adaptive \
+    python -m repro serve --index index.bin --adaptive \
                           --adaptive-budget 4096 --save-catalog cat.json.gz
     python -m repro info  --catalog cat.json.gz
 
@@ -520,7 +523,6 @@ def _service_config(args: argparse.Namespace):
         default_top_k=args.top_k,
         cache_entries=args.cache_entries,
         cache_enabled=not args.no_cache,
-        coalesce=not args.no_coalesce,
     )
 
 
@@ -955,8 +957,6 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
                    help="serving-cache capacity (full query results)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the serving cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable micro-batching (batches of one)")
 
 
 def _add_sharding_options(p: argparse.ArgumentParser) -> None:

@@ -815,7 +815,14 @@ class BlockFile:
                     f"term record points past terms_text "
                     f"({term_off}+{term_len})",
                 )
-            term = terms_text[term_off : term_off + term_len].decode("utf-8")
+            try:
+                term = terms_text[term_off : term_off + term_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _corrupt(
+                    self.path,
+                    self._sections["terms_text"][0] + term_off,
+                    f"term text is not UTF-8: {exc}",
+                ) from None
             records[term] = (count, max_tf, meta_off, data_off)
         return records
 
@@ -870,7 +877,10 @@ class BlockFile:
     def _make_loader(self, term, count, data_off, block_ends, seg_maxes):
         def load(block: int):
             mm = self._require_open()
-            blocks_base, blocks_len = self._sections["blocks"]
+            entry = self._sections.get("blocks")
+            if entry is None:
+                raise _corrupt(self.path, self._base, "missing section 'blocks'")
+            blocks_base, blocks_len = entry
             start = block_ends[block - 1] if block > 0 else 0
             end = block_ends[block]
             if not 0 <= start <= end or data_off + end > blocks_len:

@@ -385,45 +385,6 @@ class InvertedIndex:
         self.close()
 
     @classmethod
-    def from_compiled(
-        cls,
-        stored_documents: Iterable[StoredDocument],
-        content: Dict[str, PostingList],
-        predicates: Dict[str, PostingList],
-        analyzer: Optional[Analyzer] = None,
-        predicate_analyzer: Optional[Analyzer] = None,
-        searchable_fields: Sequence[str] = DEFAULT_SEARCHABLE_FIELDS,
-        predicate_field: str = DEFAULT_PREDICATE_FIELD,
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
-    ) -> "InvertedIndex":
-        """Assemble a committed index from precompiled parts.
-
-        The fast load path: posting lists and per-document statistics
-        were computed (and persisted) at save time, so construction is
-        O(documents + postings) with no re-tokenisation and no posting
-        accumulation.  Callers own the invariants (docids dense and in
-        insertion order, postings consistent with the documents) — the
-        version-2 storage codec and the segment compactor are the
-        intended callers.
-        """
-        index = cls(
-            analyzer=analyzer,
-            predicate_analyzer=predicate_analyzer,
-            searchable_fields=searchable_fields,
-            predicate_field=predicate_field,
-            segment_size=segment_size,
-        )
-        total_length = 0
-        for stored in stored_documents:
-            index.store.add_restored(stored)
-            total_length += stored.length
-        index._total_length = total_length
-        index._content = dict(content)
-        index._predicates = dict(predicates)
-        index._committed = True
-        return index
-
-    @classmethod
     def from_restored_store(
         cls,
         store: DocumentStore,
@@ -437,11 +398,11 @@ class InvertedIndex:
     ) -> "InvertedIndex":
         """Assemble a committed index around an already-built store.
 
-        The mmap-backed cold-open path: unlike :meth:`from_compiled`
-        there is no per-document restore loop and the posting mappings
-        are adopted as-is (not copied), so lazy per-term mappings stay
-        lazy and opening costs O(dictionary), not O(collection).  The
-        store must already satisfy the dense-docid invariant.
+        The mmap-backed cold-open path: there is no per-document restore
+        loop and the posting mappings are adopted as-is (not copied), so
+        lazy per-term mappings stay lazy and opening costs O(dictionary),
+        not O(collection).  The store must already satisfy the
+        dense-docid invariant.
         """
         index = cls(
             analyzer=analyzer,

@@ -125,21 +125,14 @@ class PostingList:
         self.doc_ids.append(doc_id)
         self.tfs.append(tf)
 
-    def freeze(
-        self,
-        max_tf: Optional[int] = None,
-        block_max_tfs: Optional[Sequence[int]] = None,
-    ) -> "PostingList":
+    def freeze(self, max_tf: Optional[int] = None) -> "PostingList":
         """Finalise the list and build the skip table; returns self.
 
         ``max_tf`` lets a caller that already knows the maximum term
-        frequency (the version-2 storage codec persists it) skip the
-        O(postings) scan.  ``block_max_tfs`` likewise adopts a persisted
-        per-segment max-tf column (version-3 payloads); it must have one
-        entry per skip segment.  When absent, the per-segment maxima are
-        computed here — one C-level slice+max per segment — and when
-        ``max_tf`` is also absent it is derived from them instead of a
-        second full scan.
+        frequency (the wire codec carries it) skip deriving it.  The
+        per-segment maxima are computed here — one C-level slice+max per
+        segment — and when ``max_tf`` is absent it is derived from them
+        instead of a second full scan.
         """
         if not self._frozen:
             n = len(self.doc_ids)
@@ -152,23 +145,10 @@ class PostingList:
                 "q",
                 (self.doc_ids[min(start + seg, n) - 1] for start in self._skip_starts),
             )
-            if block_max_tfs is not None:
-                col = (
-                    block_max_tfs
-                    if isinstance(block_max_tfs, array)
-                    else array("q", block_max_tfs)
-                )
-                if len(col) != len(self._skip_starts):
-                    raise ValueError(
-                        f"block max-tf column has {len(col)} entries for "
-                        f"{len(self._skip_starts)} segments"
-                    )
-                self._seg_max_tfs = col
-            else:
-                tfs = self.tfs
-                self._seg_max_tfs = array(
-                    "q", (max(tfs[start : start + seg]) for start in self._skip_starts)
-                )
+            tfs = self.tfs
+            self._seg_max_tfs = array(
+                "q", (max(tfs[start : start + seg]) for start in self._skip_starts)
+            )
             if max_tf is not None:
                 self._max_tf = max_tf
             else:
@@ -198,7 +178,6 @@ class PostingList:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         validate: bool = True,
         max_tf: Optional[int] = None,
-        block_max_tfs: Optional[Sequence[int]] = None,
     ) -> "PostingList":
         """Build and freeze a list from parallel docid/tf columns.
 
@@ -208,8 +187,8 @@ class PostingList:
         :meth:`append`.  The same invariants are enforced — docids
         strictly increasing, tfs positive — unless ``validate=False``,
         the trusted path for columns this library produced itself
-        (segment compaction, snapshot compilation, version-2 artefact
-        decode), where the per-element check would dominate load time.
+        (segment builds and compaction, snapshot compilation), where the
+        per-element check would dominate load time.
         """
         plist = cls(term, segment_size=segment_size)
         ids = doc_ids if isinstance(doc_ids, array) else array("q", doc_ids)
@@ -230,7 +209,7 @@ class PostingList:
                 raise ValueError("tf must be positive")
         plist.doc_ids = ids
         plist.tfs = freqs
-        return plist.freeze(max_tf=max_tf, block_max_tfs=block_max_tfs)
+        return plist.freeze(max_tf=max_tf)
 
     def extend(self, pairs: Iterable[Tuple[int, int]]) -> "PostingList":
         """Append postings to a frozen list and rebuild the skip table.

@@ -591,7 +591,7 @@ class SegmentedIndex:
                 {
                     "segment_id": segment.segment_id,
                     "file": name,
-                    "format": 4 if name.endswith(".seg") else 3,
+                    "format": SEGMENT_FORMAT_VERSION,
                     "bytes": size,
                     "num_docs": segment.num_docs,
                 }

@@ -5,9 +5,7 @@ A segmented index directory looks like::
     <dir>/manifest.json            the commit point (atomic os.replace)
     <dir>/wal-<version>.jsonl      the live WAL generation
     <dir>/segments/<id>.seg        one immutable file per sealed segment
-                                   (v4 binary block format; segments
-                                   sealed by older builds may persist as
-                                   v2/v3 JSON <id>.json.gz and still load)
+                                   (v4 binary block format)
 
 **Commit protocol.**  Segment files are written first (each via a
 temporary file + ``os.replace``; segments are immutable so a file is
@@ -28,11 +26,12 @@ before a commit are baked into the manifest's segments and their old WAL
 generation is simply never replayed again, even if the crash happened
 before the old file was unlinked.
 
-Segment files persist **precompiled posting columns** next to the
-analysed documents, so loading a segment is O(documents + postings) —
-array adoption, no re-tokenisation, no posting accumulation.  Legacy
-JSON segments decode through :func:`repro.storage.decode_posting_columns`,
-the same column decoder flat v2/v3 index files use.
+Segment files persist **precompiled posting blocks** next to the
+analysed documents and open lazily, with no re-tokenisation and no
+posting accumulation.  A manifest older than version 4, or a JSON
+segment (``<id>.json.gz``, formats 2-3) that older builds sealed, is
+refused with a :class:`~repro.storage.StorageError` that names
+``tools/upgrade_index.py``, which converts the directory.
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..errors import StorageError
 from ..index import blockstore
-from ..index.documents import StoredDocument
-from ..storage import (
-    LazyTokenFields,
-    _read_payload,
-    _write_payload,
-    decode_posting_columns,
-)
+from ..storage import _read_payload, _unconverted, _write_payload
 from .segment import Segment
 
 __all__ = ["SegmentStorage", "ManifestState"]
@@ -57,49 +50,10 @@ PathLike = Union[str, Path]
 
 SEGMENT_DIR = "segments"
 MANIFEST_NAME = "manifest.json"
-# Segments are written only as v4 binary block files (``<id>.seg``, see
+# Segments are v4 binary block files (``<id>.seg``, see
 # repro.index.blockstore): mmap-backed, bit-packed posting blocks decoded
-# lazily per query.  v3 (JSON with max_tf and per-block maxima) and v2
-# (JSON columns only) segments sealed by older builds still load; a
-# directory may mix formats — each segment file is sniffed by content
-# and keeps its name until compaction rewrites it as ``.seg``.
+# lazily per query.
 SEGMENT_FORMAT_VERSION = 4
-SUPPORTED_SEGMENT_VERSIONS = (2, 3, 4)
-_LEGACY_SEGMENT_SUFFIX = ".json.gz"
-
-
-def _decode_segment(payload: dict, path: Path, segment_size: int) -> Segment:
-    """Decode a legacy v2/v3 JSON segment payload."""
-    if payload.get("kind") != "segment":
-        raise StorageError(
-            f"expected a persisted segment in {path}, "
-            f"found {payload.get('kind')!r}"
-        )
-    if payload.get("version") not in (2, 3):
-        raise StorageError(
-            f"unsupported segment format version {payload.get('version')!r} "
-            f"in {path} (this build reads JSON segment versions 2, 3)"
-        )
-    try:
-        documents = [
-            StoredDocument(
-                internal_id=entry["internal_id"],
-                external_id=entry["external_id"],
-                field_tokens=LazyTokenFields(entry["field_tokens"]),
-                length=entry["length"],
-                unique_terms=entry["unique_terms"],
-            )
-            for entry in payload["documents"]
-        ]
-        content, predicates = decode_posting_columns(payload, segment_size)
-        segment_id = payload["segment_id"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(
-            f"malformed segment payload in {path}: {exc!r}"
-        ) from None
-    return Segment(
-        segment_id, documents, content, predicates, segment_size=segment_size
-    )
 
 
 def _load_block_segment(
@@ -184,14 +138,6 @@ class SegmentStorage:
         return "wal-000000.jsonl"
 
     def _segment_file_name(self, segment_id: str) -> str:
-        """Resolve a segment's on-disk file name.
-
-        Segment files are immutable, so a legacy JSON segment keeps its
-        existing file; every other segment is a v4 ``.seg`` file.
-        """
-        legacy = f"{segment_id}{_LEGACY_SEGMENT_SUFFIX}"
-        if (self.directory / SEGMENT_DIR / legacy).exists():
-            return legacy
         return f"{segment_id}.seg"
 
     def _write_segment(self, segment: Segment, path: Path) -> None:
@@ -290,27 +236,17 @@ class SegmentStorage:
         if not self.exists():
             return None
         manifest = _read_payload(self.manifest_path)
-        if manifest.get("kind") != "segmented_index":
-            raise StorageError(
-                f"expected a segmented-index manifest in "
-                f"{self.manifest_path}, found {manifest.get('kind')!r}"
-            )
-        if manifest.get("version") not in SUPPORTED_SEGMENT_VERSIONS:
-            raise StorageError(
-                f"unsupported manifest version {manifest.get('version')!r} "
-                f"in {self.manifest_path} (this build reads versions "
-                f"{', '.join(map(str, SUPPORTED_SEGMENT_VERSIONS))})"
-            )
+        if (
+            manifest.get("kind") != "segmented_index"
+            or manifest.get("version") != SEGMENT_FORMAT_VERSION
+        ):
+            raise _unconverted(self.manifest_path, manifest, "segmented_index")
         config = manifest.get("config", {})
         segment_size = config.get("segment_size", 64)
         segments: List[Segment] = []
         for entry in manifest.get("segments", ()):
             path = self.directory / entry["file"]
-            if blockstore.is_block_file(path):
-                segment = _load_block_segment(
-                    path, entry["segment_id"], segment_size
-                )
-            else:
+            if not blockstore.is_block_file(path):
                 try:
                     payload = _read_payload(path)
                 except Exception as exc:
@@ -318,8 +254,10 @@ class SegmentStorage:
                         f"segmented index {self.directory}: segment file "
                         f"{path} is missing or unreadable ({exc})"
                     ) from None
-                segment = _decode_segment(payload, path, segment_size)
-            segments.append(segment)
+                raise _unconverted(path, payload, "segment")
+            segments.append(
+                _load_block_segment(path, entry["segment_id"], segment_size)
+            )
         return ManifestState(
             segments=segments,
             tombstones=set(manifest.get("tombstones", ())),

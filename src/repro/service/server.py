@@ -111,7 +111,6 @@ class ServiceConfig:
     default_top_k: int = 10
     cache_entries: int = 1024
     cache_enabled: bool = True
-    coalesce: bool = True  # False = batches of one (bench baseline arm)
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -164,8 +163,8 @@ class QueryService:
         )
         self.coalescer = Coalescer(
             self._run_batch,
-            max_batch=self.config.max_batch if self.config.coalesce else 1,
-            max_wait_ms=self.config.max_wait_ms if self.config.coalesce else 0.0,
+            max_batch=self.config.max_batch,
+            max_wait_ms=self.config.max_wait_ms,
             observe_batch=self.metrics.observe_batch,
         )
 

@@ -5,15 +5,14 @@ A production deployment cannot re-ingest 18 M citations or re-run a
 the whole motivation for persisting its output).  This module serialises
 both artefacts:
 
-* **indexes** default to the *binary block format* (version 4, see
+* **indexes** use the *binary block format* (version 4, see
   :mod:`repro.index.blockstore`): delta-encoded bit-packed posting
   blocks behind an mmap, a fixed-width term dictionary, and per-block
   skip/max-tf metadata, so a cold open reads only header + dictionaries
-  and queries decode just the blocks they touch.  Version-3/2/1 JSON
-  payloads, written by earlier releases, all still load; the v2/v3
-  posting columns (base64-packed little-endian int64) of flat files and
-  of legacy JSON lifecycle segments decode through one
-  :func:`decode_posting_columns`;
+  and queries decode just the blocks they touch.  Version 4 is the only
+  index format this build reads; a JSON index payload written by an
+  earlier release (versions 1-3) is refused with a :class:`StorageError`
+  that names ``tools/upgrade_index.py``, which converts it;
 * **catalogs** and raw documents persist as versioned JSON — loading a
   catalog is O(total tuples), no corpus access required.
 
@@ -29,24 +28,22 @@ all three artefact kinds.
 
 from __future__ import annotations
 
-import base64
 import gzip
 import json
 import os
-import sys
 from array import array
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from .errors import StorageError
 from .index import blockstore
-from .index.documents import Document, StoredDocument
+from .index.documents import Document
 from .index.inverted_index import InvertedIndex
-from .index.postings import PostingList
 from .views.catalog import ViewCatalog
 from .views.view import GroupTuple, MaterializedView
 
 FORMAT_VERSION = 4
+#: Header versions a document or catalog JSON payload may carry.
 SUPPORTED_VERSIONS = (1, 2, 3, 4)
 #: The JSON layouts froze at version 3; only the index artefact gained
 #: the binary v4 encoding.  Documents and catalogs keep stamping 3.
@@ -58,9 +55,6 @@ __all__ = [
     "FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
     "StorageError",
-    "encode_column",
-    "decode_column",
-    "LazyTokenFields",
     "save_documents",
     "load_documents",
     "save_index",
@@ -73,63 +67,6 @@ __all__ = [
     "load_catalog",
     "load_catalog_info",
 ]
-
-
-def encode_column(values: Iterable[int]) -> str:
-    """Pack an int64 column as base64 of little-endian bytes.
-
-    One JSON string token parses orders of magnitude faster than a list
-    of integers, and decoding is ``array.frombytes`` — the reason the
-    v2 cold-load path is array adoption rather than number parsing.
-    """
-    column = values if isinstance(values, array) else array("q", values)
-    if sys.byteorder != "little":
-        column = array("q", column)
-        column.byteswap()
-    return base64.b64encode(column.tobytes()).decode("ascii")
-
-
-def decode_column(text: str) -> array:
-    """Inverse of :func:`encode_column`."""
-    column = array("q")
-    column.frombytes(base64.b64decode(text))
-    if sys.byteorder != "little":
-        column.byteswap()
-    return column
-
-
-class LazyTokenFields(dict):
-    """A ``field_tokens`` mapping that unpacks joined strings on demand.
-
-    Query execution runs entirely off the precompiled posting columns;
-    the stored token lists are only read by view maintenance, re-saves,
-    and per-document tf probes.  Keeping each field packed until first
-    access makes cold load O(postings) instead of O(total tokens).
-    Materialised fields replace the packed form in place, so the split
-    happens at most once per field.
-    """
-
-    __slots__ = ()
-
-    def _materialise(self, key, value):
-        if isinstance(value, str):
-            value = value.split(" ") if value else []
-            dict.__setitem__(self, key, value)
-        return value
-
-    def __getitem__(self, key):
-        return self._materialise(key, dict.__getitem__(self, key))
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        return self[key]
-
-    def items(self):
-        return [(key, self[key]) for key in dict.keys(self)]
-
-    def values(self):
-        return [self[key] for key in dict.keys(self)]
 
 
 def _write_payload(path: Path, payload: dict) -> None:
@@ -197,8 +134,8 @@ def _magic_mismatch_offset(head: bytes) -> int:
     return len(head)
 
 
-def _check_header(payload: dict, expected_kind: str) -> int:
-    """Validate kind and version; returns the payload's format version."""
+def _check_header(payload: dict, expected_kind: str) -> None:
+    """Validate the kind and version of a document or catalog payload."""
     kind = payload.get("kind")
     version = payload.get("version")
     if kind != expected_kind:
@@ -210,7 +147,24 @@ def _check_header(payload: dict, expected_kind: str) -> int:
             f"unsupported format version {version!r} "
             f"(this build reads versions {', '.join(map(str, SUPPORTED_VERSIONS))})"
         )
-    return version
+
+
+def _unconverted(path: Path, payload: dict, kind: str) -> StorageError:
+    """The error for a JSON ``kind`` payload where a v4 index was due.
+
+    Index formats 1-3 were JSON; this build reads none of them, and
+    ``tools/upgrade_index.py`` converts them to v4.
+    """
+    if payload.get("kind") != kind:
+        return StorageError(
+            f"expected a persisted {kind!r} in {path}, "
+            f"found {payload.get('kind')!r}"
+        )
+    return StorageError(
+        f"{path} holds index format {payload.get('version')!r}; this build "
+        f"reads only format {FORMAT_VERSION}: convert it with "
+        f"tools/upgrade_index.py"
+    )
 
 
 # -- raw documents -------------------------------------------------------------
@@ -242,89 +196,6 @@ def load_documents(path: PathLike) -> List[Document]:
 
 
 # -- indexes -----------------------------------------------------------------
-
-
-def _decode_index_v1(payload: dict) -> InvertedIndex:
-    """Legacy decode: re-accumulate postings from the stored tokens."""
-    index = InvertedIndex(
-        searchable_fields=tuple(payload["searchable_fields"]),
-        predicate_field=payload["predicate_field"],
-        segment_size=payload["segment_size"],
-    )
-    for entry in payload["documents"]:
-        field_tokens: Dict[str, List[str]] = {
-            name: list(tokens)
-            for name, tokens in entry["field_tokens"].items()
-        }
-        index.add_preanalyzed(entry["external_id"], field_tokens)
-    return index.commit()
-
-
-def decode_posting_columns(payload: dict, segment_size: int):
-    """Decode the v2/v3 JSON posting columns → ``(content, predicates)``.
-
-    One decoder for flat index files and legacy JSON lifecycle segments.
-    A v3 content entry is ``[ids, tfs, max_tf, block maxima]``, adopted
-    wholesale; v2 stops after ``max_tf`` (flat files) or after ``tfs``
-    (segments), and freeze recomputes what is missing.  Malformed
-    entries raise ``KeyError``/``TypeError``/``ValueError`` for the
-    caller to name its artefact.
-    """
-    content = {}
-    for term, (ids, tfs, *stored) in payload["content"].items():
-        if len(stored) > 2:
-            raise ValueError(f"posting entry {term!r} has extra fields")
-        max_tf, blocks = (*stored, None, None)[:2]
-        content[term] = PostingList.from_arrays(
-            term,
-            decode_column(ids),
-            decode_column(tfs),
-            segment_size=segment_size,
-            validate=False,
-            max_tf=max_tf,
-            block_max_tfs=None if blocks is None else decode_column(blocks),
-        )
-    predicates = {}
-    for term, packed in payload["predicates"].items():
-        ids = decode_column(packed)
-        predicates[term] = PostingList.from_arrays(
-            term,
-            ids,
-            array("q", [1]) * len(ids),
-            segment_size=segment_size,
-            validate=False,
-            max_tf=1 if ids else 0,
-            block_max_tfs=array("q", [1]) * -(-len(ids) // segment_size),
-        )
-    return content, predicates
-
-
-def _decode_index(payload: dict, version: int = FORMAT_VERSION) -> InvertedIndex:
-    if version == 1:
-        return _decode_index_v1(payload)
-    segment_size = payload["segment_size"]
-    try:
-        documents = [
-            StoredDocument(
-                internal_id=internal_id,
-                external_id=entry["external_id"],
-                field_tokens=LazyTokenFields(entry["field_tokens"]),
-                length=entry["length"],
-                unique_terms=entry["unique_terms"],
-            )
-            for internal_id, entry in enumerate(payload["documents"])
-        ]
-        content, predicates = decode_posting_columns(payload, segment_size)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"malformed index payload: {exc!r}") from None
-    return InvertedIndex.from_compiled(
-        documents,
-        content,
-        predicates,
-        searchable_fields=tuple(payload["searchable_fields"]),
-        predicate_field=payload["predicate_field"],
-        segment_size=segment_size,
-    )
 
 
 def _write_index_file(
@@ -394,19 +265,14 @@ def _load_block_index(path: Path) -> InvertedIndex:
 def load_index(path: PathLike) -> InvertedIndex:
     """Load an index saved by :func:`save_index`.
 
-    The format is sniffed from the file itself, never the name: v4
-    block files open as mmap-backed lazy indexes, version-3/2 JSON
-    payloads adopt their compiled posting columns wholesale, and
-    version-1 payloads fall back to the legacy rebuild from stored
-    token streams.  Either way the loaded index is bit-identical in
-    behaviour to the original.
+    The format is sniffed from the file itself, never the name: a v4
+    block file opens as an mmap-backed lazy index; anything else is an
+    error (a JSON index of an earlier release names the upgrade tool).
     """
     path = Path(path)
     if blockstore.is_block_file(path):
         return _load_block_index(path)
-    payload = _read_payload(path)
-    version = _check_header(payload, "index")
-    return _decode_index(payload, version)
+    raise _unconverted(path, _read_payload(path), "index")
 
 
 # -- sharded indexes -----------------------------------------------------------
@@ -470,33 +336,22 @@ def _load_shard_file(shard_path: Path):
     :class:`StorageError` for a readable-but-wrong one; callers wrap
     both into their own context-naming error.
     """
-    from array import array
-
-    if blockstore.is_block_file(shard_path):
-        reader = blockstore.BlockFile(shard_path)
-        try:
-            global_ids = reader.global_ids()
-            if global_ids is None:
-                raise StorageError(
-                    f"shard file {shard_path} carries no global docid map"
-                )
-            index = _index_from_block_reader(reader)
-        except Exception:
-            reader.close()
-            raise
-        index.attach_resource(reader)
-    else:
+    if not blockstore.is_block_file(shard_path):
         if not shard_path.exists():
             raise FileNotFoundError(shard_path)
-        payload = _read_payload(shard_path)
-        version = _check_header(payload, "index")
-        packed = payload.get("global_ids")
-        if packed is None:
+        raise _unconverted(shard_path, _read_payload(shard_path), "index")
+    reader = blockstore.BlockFile(shard_path)
+    try:
+        global_ids = reader.global_ids()
+        if global_ids is None:
             raise StorageError(
                 f"shard file {shard_path} carries no global docid map"
             )
-        global_ids = array("q", packed)
-        index = _decode_index(payload, version)
+        index = _index_from_block_reader(reader)
+    except Exception:
+        reader.close()
+        raise
+    index.attach_resource(reader)
     return index, array("q", global_ids)
 
 
@@ -531,7 +386,11 @@ def load_sharded_index(path: PathLike):
 
     path = Path(path)
     manifest = _read_payload(path)
-    _check_header(manifest, "sharded_index")
+    if (
+        manifest.get("kind") != "sharded_index"
+        or manifest.get("version") != FORMAT_VERSION
+    ):
+        raise _unconverted(path, manifest, "sharded_index")
     partitioner = make_partitioner(
         manifest["partitioner"]["name"], manifest["partitioner"]["num_shards"]
     )
@@ -571,8 +430,7 @@ def load_any_index(path: PathLike):
     payload = _read_payload(path)
     if payload.get("kind") == "sharded_index":
         return load_sharded_index(path)
-    version = _check_header(payload, "index")
-    return _decode_index(payload, version)
+    raise _unconverted(path, payload, "index")
 
 
 # -- view catalogs -------------------------------------------------------------

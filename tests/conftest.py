@@ -7,6 +7,9 @@ exercises realistic scale and distributions.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -19,6 +22,24 @@ from repro import (
 )
 from repro.selection import TransactionDatabase
 from repro.views import ViewSizeEstimator, WideSparseTable
+
+#: Version-3 JSON artefacts of ``handmade_index`` (flat and 2-shard hash
+#: partitioned, plain and gzipped), written by the last release that
+#: still had a v3 writer: the inputs of ``tools/upgrade_index.py``'s
+#: tests.  See ``tests/data/README.md``.
+V3_DATA = Path(__file__).parent / "data" / "v3"
+
+
+def _load_upgrade_tool():
+    """``tools/upgrade_index.py`` as a module (``tools/`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "upgrade_index.py"
+    spec = importlib.util.spec_from_file_location("upgrade_index", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+upgrade_tool = _load_upgrade_tool()
 
 # The running example of Section 1.1: pancreas/leukemia in a digestive-
 # system context, plus filler documents that shape the statistics.

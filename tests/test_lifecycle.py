@@ -16,8 +16,11 @@ interleaving property test over the cached serving stack.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +36,8 @@ from repro.lifecycle import (
     replay_wal,
 )
 from repro.storage import StorageError, load_any_index
+
+from .conftest import upgrade_tool
 
 # ---------------------------------------------------------------------------
 # Test corpus: deterministic, mesh predicates shared across docs so that
@@ -591,7 +596,7 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Legacy JSON segments: sealed by older builds, still loaded
+# Legacy JSON segments: sealed by older builds, converted by the upgrade tool
 
 
 def exact_rankings(engine, queries=QUERIES):
@@ -611,15 +616,22 @@ def exact_rankings(engine, queries=QUERIES):
     return outcomes
 
 
+def encode_column(values) -> str:
+    """A v2/v3 posting column: base64 of little-endian int64."""
+    column = array("q", values)
+    if sys.byteorder != "little":
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
 class TestLegacyJsonSegments:
     """No writer emits v2/v3 JSON segments any more, so these tests seal
     them by hand (as ``TestFormatVersions._v1_payload`` does for flat
-    files) and check they load, rank and compact like v4 segments."""
+    files).  The loader refuses them; ``tools/upgrade_index.py`` turns
+    them into v4 segments that rank and compact like the originals."""
 
     @staticmethod
     def _payload(segment, version: int) -> dict:
-        from repro.storage import encode_column
-
         content = {}
         for term, plist in segment.content.items():
             ids, tfs = plist.columns()
@@ -635,8 +647,9 @@ class TestLegacyJsonSegments:
                 {
                     "internal_id": doc.internal_id,
                     "external_id": doc.external_id,
+                    # v3 joined each field into one string; v2 kept lists.
                     "field_tokens": {
-                        name: list(tokens)
+                        name: " ".join(tokens) if version == 3 else list(tokens)
                         for name, tokens in doc.field_tokens.items()
                     },
                     "length": doc.length,
@@ -664,20 +677,25 @@ class TestLegacyJsonSegments:
         index.close()
         return directory
 
-    def _legacy_copy(self, v4_dir, target, version, corrupt=None):
-        """Copy ``v4_dir`` with every segment rewritten as a JSON payload
-        of ``version``; ``corrupt(payload)`` may damage the first one."""
+    def _legacy_copy(
+        self, v4_dir, target, version, corrupt=None, manifest_version=None,
+        segments=None,
+    ):
+        """Copy ``v4_dir`` with its first ``segments`` (default: all)
+        rewritten as JSON payloads of ``version``, under a manifest of
+        ``manifest_version`` (default: ``version``); ``corrupt(payload)``
+        may damage the first one."""
         import gzip
         import shutil
 
         shutil.copytree(v4_dir, target)
         manifest_path = target / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["version"] = version
+        manifest["version"] = manifest_version or version
         with SegmentedIndex.open(v4_dir) as source:
-            segments = {s.segment_id: s for s in source._segments}
-            for position, entry in enumerate(manifest["segments"]):
-                payload = self._payload(segments[entry["segment_id"]], version)
+            segments_by_id = {s.segment_id: s for s in source._segments}
+            for position, entry in enumerate(manifest["segments"][:segments]):
+                payload = self._payload(segments_by_id[entry["segment_id"]], version)
                 if corrupt is not None and position == 0:
                     corrupt(payload)
                 (target / entry["file"]).unlink()
@@ -691,35 +709,70 @@ class TestLegacyJsonSegments:
     def test_rankings_bit_identical_to_v4(self, v4_dir, tmp_path, version):
         legacy_dir = self._legacy_copy(v4_dir, tmp_path / "legacy", version)
         assert not list((legacy_dir / "segments").glob("*.seg"))
+        with pytest.raises(StorageError, match="upgrade_index"):
+            SegmentedIndex.open(legacy_dir)
+        upgraded = tmp_path / "upgraded"
+        upgrade_tool.upgrade(legacy_dir, upgraded)
+        assert not list((upgraded / "segments").glob("*.json.gz"))
         with LifecycleEngine(SegmentedIndex.open(v4_dir)) as engine:
             expected = exact_rankings(engine)
-        with LifecycleEngine(SegmentedIndex.open(legacy_dir)) as engine:
+        with LifecycleEngine(SegmentedIndex.open(upgraded)) as engine:
             assert exact_rankings(engine) == expected
             assert_equivalent(engine, live(DOCS, {"D3", "D9"}))
 
     @pytest.mark.parametrize("version", [2, 3])
     def test_full_compaction_rewrites_as_v4(self, v4_dir, tmp_path, version):
         legacy_dir = self._legacy_copy(v4_dir, tmp_path / "legacy", version)
+        upgraded = tmp_path / "upgraded"
+        upgrade_tool.upgrade(legacy_dir, upgraded)
         with LifecycleEngine(SegmentedIndex.open(v4_dir)) as engine:
             expected = exact_rankings(engine)
-        with SegmentedIndex.open(legacy_dir) as index:
+        with SegmentedIndex.open(upgraded) as index:
             index.compact(full=True)
-        files = list((legacy_dir / "segments").iterdir())
+        files = list((upgraded / "segments").iterdir())
         assert len(files) == 1 and files[0].suffix == ".seg"
-        with LifecycleEngine(SegmentedIndex.open(legacy_dir)) as engine:
+        with LifecycleEngine(SegmentedIndex.open(upgraded)) as engine:
             assert exact_rankings(engine) == expected
 
     def test_malformed_entry_names_the_file(self, v4_dir, tmp_path):
         def corrupt(payload):
-            term = next(iter(payload["content"]))
-            payload["content"][term] = [[0, 1]]
+            del payload["documents"][0]["length"]
 
         legacy_dir = self._legacy_copy(
             v4_dir, tmp_path / "legacy", 3, corrupt=corrupt
         )
+        upgraded = tmp_path / "upgraded"
         with pytest.raises(StorageError, match="malformed segment") as info:
+            upgrade_tool.upgrade(legacy_dir, upgraded)
+        assert "seg-000000.json.gz" in str(info.value)
+        assert not upgraded.exists()
+
+    def test_mixed_directory_converts_per_segment(self, v4_dir, tmp_path):
+        """A v4 manifest may still name a JSON segment: the loader refuses
+        it by file name, and the tool rebuilds just that segment while
+        copying the ``.seg`` files, the tombstones and the WAL as they
+        are."""
+        legacy_dir = self._legacy_copy(
+            v4_dir, tmp_path / "legacy", 3, manifest_version=4, segments=1
+        )
+        with pytest.raises(StorageError) as info:
             SegmentedIndex.open(legacy_dir)
         assert "seg-000000.json.gz" in str(info.value)
+        assert "format 3" in str(info.value)
+        upgraded = tmp_path / "upgraded"
+        upgrade_tool.upgrade(legacy_dir, upgraded)
+        for copied in (legacy_dir / "segments").glob("*.seg"):
+            assert (upgraded / "segments" / copied.name).read_bytes() == (
+                copied.read_bytes()
+            )
+        manifest = json.loads((upgraded / "manifest.json").read_text())
+        assert manifest["version"] == 4 and manifest["tombstones"]
+        wal = manifest["wal"]
+        assert (upgraded / wal).read_bytes() == (legacy_dir / wal).read_bytes()
+        with LifecycleEngine(SegmentedIndex.open(v4_dir)) as engine:
+            expected = exact_rankings(engine)
+        with LifecycleEngine(SegmentedIndex.open(upgraded)) as engine:
+            assert exact_rankings(engine) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Round-trip tests for index and catalog persistence."""
 
+import base64
+import json
 import shutil
+import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,12 +18,16 @@ from repro.storage import (
     save_index,
 )
 
-from .conftest import HANDMADE_DOCS
+from .conftest import V3_DATA, upgrade_tool
 
-#: Version-3 JSON artefacts of ``handmade_index`` (flat and 2-shard hash
-#: partitioned, plain and gzipped), written by the last release that
-#: still had a v3 writer.  See ``tests/data/README.md``.
-V3_DATA = Path(__file__).parent / "data" / "v3"
+
+def decode_column(text: str) -> array:
+    """A v2/v3 posting column: base64 of little-endian int64."""
+    column = array("q")
+    column.frombytes(base64.b64decode(text))
+    if sys.byteorder != "little":
+        column.byteswap()
+    return column
 
 
 def copy_v3_sharded(tmp_path: Path, ext: str = ".json") -> Path:
@@ -36,10 +44,12 @@ class TestIndexRoundTrip:
         ids=["v4-binary", "v3-json", "v3-json-gz"],
     )
     def saved_path(self, request, tmp_path, handmade_index):
-        if request.param is not None:
-            return V3_DATA / "flat" / request.param
+        """A v4 save, or a v3 fixture converted by the upgrade tool."""
         path = tmp_path / "idx.json"
-        save_index(handmade_index, path)
+        if request.param is None:
+            save_index(handmade_index, path)
+        else:
+            upgrade_tool.upgrade(V3_DATA / "flat" / request.param, path)
         return path
 
     def test_statistics_survive(self, saved_path, handmade_index):
@@ -158,10 +168,10 @@ class TestCatalogRoundTrip:
 
 
 class TestFormatVersions:
-    """Format-version 3 persisted precompiled postings plus block-max
-    metadata; version-3, version-2 (columns, no block metadata) and
-    version-1 (token streams only) payloads must keep loading through
-    the legacy decoders.  Only format 4 is writable."""
+    """Only format 4 is read.  Version-1 (token streams only), version-2
+    (posting columns) and version-3 (columns plus block maxima) payloads
+    are refused with an error naming ``tools/upgrade_index.py``, and load
+    once that tool has rebuilt them from their stored token streams."""
 
     def _v1_payload(self, index) -> dict:
         return {
@@ -183,11 +193,12 @@ class TestFormatVersions:
         }
 
     def test_v1_payload_still_loads(self, tmp_path, handmade_index):
-        import json
-
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(self._v1_payload(handmade_index)))
-        loaded = load_index(path)
+        with pytest.raises(StorageError, match="format 1.*upgrade_index"):
+            load_index(path)
+        upgrade_tool.upgrade(path, tmp_path / "v1.bin")
+        loaded = load_index(tmp_path / "v1.bin")
         assert loaded.num_docs == handmade_index.num_docs
         for term in handmade_index.vocabulary:
             assert list(loaded.postings(term)) == list(
@@ -196,6 +207,7 @@ class TestFormatVersions:
         a = ContextSearchEngine(handmade_index).search("leukemia | Diseases")
         b = ContextSearchEngine(loaded).search("leukemia | Diseases")
         assert a.external_ids() == b.external_ids()
+        loaded.close()
 
     @staticmethod
     def _as_v2_payload(payload: dict) -> dict:
@@ -207,54 +219,64 @@ class TestFormatVersions:
         }
         return payload
 
-    def test_v3_payload_carries_precompiled_postings(self):
-        import json
-
-        payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
-        from repro.storage import decode_column
-
+    def test_v3_payload_carries_precompiled_postings(self, tmp_path):
+        """The tool ignores the stored v3 columns, yet rebuilds exactly
+        them: postings, ``max_tf``, block maxima, lengths."""
+        source = V3_DATA / "flat" / "idx.json"
+        payload = json.loads(source.read_text())
         assert payload["version"] == 3
-        assert payload["content"]  # postings columns, not just tokens
-        term, column = next(iter(payload["content"].items()))
-        packed_ids, packed_tfs, max_tf, packed_blocks = column
-        ids, tfs = decode_column(packed_ids), decode_column(packed_tfs)
-        blocks = decode_column(packed_blocks)
-        assert len(ids) == len(tfs)
-        assert max_tf == max(tfs)
-        seg = payload["segment_size"]
-        assert len(blocks) == -(-len(ids) // seg)
-        assert list(blocks) == [
-            max(tfs[start : start + seg]) for start in range(0, len(ids), seg)
-        ]
-        entry = payload["documents"][0]
-        assert "length" in entry and "unique_terms" in entry
+        upgrade_tool.upgrade(source, tmp_path / "idx.bin")
+        with load_index(tmp_path / "idx.bin") as loaded:
+            assert set(loaded.vocabulary) == set(payload["content"])
+            for term, column in payload["content"].items():
+                packed_ids, packed_tfs, max_tf, packed_blocks = column
+                plist = loaded.postings(term)
+                assert list(plist.doc_ids) == list(decode_column(packed_ids))
+                assert list(plist.tfs) == list(decode_column(packed_tfs))
+                assert plist.max_tf == max_tf
+                assert list(plist.block_max_tfs) == list(
+                    decode_column(packed_blocks)
+                )
+            for term, packed in payload["predicates"].items():
+                assert list(loaded.predicate_postings(term).doc_ids) == list(
+                    decode_column(packed)
+                )
+            for doc, entry in zip(loaded.store, payload["documents"]):
+                assert doc.external_id == entry["external_id"]
+                assert doc.length == entry["length"]
+                assert doc.unique_terms == entry["unique_terms"]
 
-    def test_v3_reload_preserves_max_tf_and_blocks(self, handmade_index):
-        loaded = load_index(V3_DATA / "flat" / "idx.json")
+    def test_v3_reload_preserves_max_tf_and_blocks(
+        self, tmp_path, handmade_index
+    ):
+        upgrade_tool.upgrade(V3_DATA / "flat" / "idx.json", tmp_path / "idx.bin")
+        loaded = load_index(tmp_path / "idx.bin")
         for term in handmade_index.vocabulary:
             original = handmade_index.postings(term)
             reloaded = loaded.postings(term)
             assert reloaded.max_tf == original.max_tf
             assert list(reloaded.block_max_tfs) == list(original.block_max_tfs)
             assert reloaded.segment_bounds() == original.segment_bounds()
+        loaded.close()
 
     def test_v2_payload_still_loads_with_recomputed_blocks(
         self, tmp_path, handmade_index
     ):
-        import json
-
         save_path = V3_DATA / "flat" / "idx.json"
         path = tmp_path / "v2.json"
         path.write_text(
             json.dumps(self._as_v2_payload(json.loads(save_path.read_text())))
         )
-        loaded = load_index(path)
+        with pytest.raises(StorageError, match="format 2.*upgrade_index"):
+            load_index(path)
+        upgrade_tool.upgrade(path, tmp_path / "v2.bin")
+        loaded = load_index(tmp_path / "v2.bin")
         for term in handmade_index.vocabulary:
             original = handmade_index.postings(term)
             reloaded = loaded.postings(term)
             assert list(reloaded) == list(original)
             assert reloaded.max_tf == original.max_tf
-            # Block maxima are not in the v2 payload; the legacy decoder
+            # Block maxima are not in the v2 payload; the rebuild
             # recomputes them and they must match exactly.
             assert list(reloaded.block_max_tfs) == list(original.block_max_tfs)
         a = ContextSearchEngine(handmade_index).search_disjunctive(
@@ -264,27 +286,25 @@ class TestFormatVersions:
             "leukemia | Diseases"
         )
         assert a.external_ids() == b.external_ids()
+        loaded.close()
 
     def test_future_version_rejected_with_supported_list(self, tmp_path):
-        import json
-
         path = tmp_path / "v9.json"
         payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
         payload["version"] = 9
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError, match="versions 1, 2"):
-            load_index(path)
+            upgrade_tool.upgrade(path, tmp_path / "v9.bin")
+        assert not (tmp_path / "v9.bin").exists()
 
     def test_malformed_v2_payload_is_storage_error(self, tmp_path):
-        import json
-
         path = tmp_path / "broken.json"
         payload = json.loads((V3_DATA / "flat" / "idx.json").read_text())
-        term = next(iter(payload["content"]))
-        payload["content"][term] = [[0, 1]]  # not an (ids, tfs, max_tf) triple
+        payload["version"] = 2
+        payload["documents"][0]["field_tokens"] = 7  # not a field mapping
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError, match="malformed index payload"):
-            load_index(path)
+            upgrade_tool.upgrade(path, tmp_path / "broken.bin")
 
     def test_only_v4_shards_are_writable(self, tmp_path, handmade_index):
         from repro.index.sharded import ShardedInvertedIndex
@@ -302,14 +322,16 @@ class TestShardedLoadRobustness:
 
     @pytest.fixture(params=[3, 4], ids=["v3-json", "v4-binary"])
     def saved_sharded(self, request, tmp_path, handmade_index):
+        """A v4 save, or the v3 fixture converted by the upgrade tool."""
         from repro.index.sharded import ShardedInvertedIndex
         from repro.storage import load_sharded_index, save_sharded_index
 
-        if request.param == 3:
-            return copy_v3_sharded(tmp_path), load_sharded_index
-        sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
         path = tmp_path / "idx.json"
-        save_sharded_index(sharded, path)
+        if request.param == 3:
+            upgrade_tool.upgrade(V3_DATA / "sharded" / "idx.json", path)
+        else:
+            sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
+            save_sharded_index(sharded, path)
         return path, load_sharded_index
 
     def test_missing_shard_file(self, saved_sharded):
@@ -321,13 +343,12 @@ class TestShardedLoadRobustness:
         assert victim.name in str(exc_info.value)
 
     def test_truncated_gzip_shard(self, tmp_path):
-        from repro.storage import load_sharded_index
-
+        """A torn legacy shard fails its conversion, naming the file."""
         path = copy_v3_sharded(tmp_path, ".json.gz")
         victim = tmp_path / "idx.shard0.json.gz"
         victim.write_bytes(victim.read_bytes()[:40])  # truncate mid-stream
         with pytest.raises(StorageError, match="unreadable") as exc_info:
-            load_sharded_index(path)
+            upgrade_tool.upgrade(path, tmp_path / "out.bin")
         assert victim.name in str(exc_info.value)
 
     def test_truncated_binary_shard(self, tmp_path, handmade_index):
@@ -343,19 +364,21 @@ class TestShardedLoadRobustness:
             load_sharded_index(path)
         assert victim.name in str(exc_info.value)
 
-    def test_shard_version_mismatch(self, tmp_path):
-        import json
+    def test_shard_version_mismatch(self, tmp_path, handmade_index):
+        """A v3 JSON shard file under a v4 manifest is refused by name."""
+        from repro.index.sharded import ShardedInvertedIndex
+        from repro.storage import load_sharded_index, save_sharded_index
 
-        from repro.storage import load_sharded_index
-
-        path = copy_v3_sharded(tmp_path)
+        sharded = ShardedInvertedIndex.from_index(handmade_index, 2, "hash")
+        path = tmp_path / "idx.json"
+        save_sharded_index(sharded, path)
         victim = path.parent / "idx.shard0.json"
-        payload = json.loads(victim.read_text())
-        payload["version"] = 99
-        victim.write_text(json.dumps(payload))
+        shutil.copy(V3_DATA / "sharded" / "idx.shard0.json", victim)
         with pytest.raises(StorageError, match="unreadable") as exc_info:
             load_sharded_index(path)
         assert victim.name in str(exc_info.value)
+        assert "format 3" in str(exc_info.value)
+        assert "tools/upgrade_index.py" in str(exc_info.value)
 
     def test_intact_set_roundtrips(self, saved_sharded, handmade_index):
         path, load_sharded_index = saved_sharded
@@ -389,15 +412,17 @@ class TestBinaryFormatV4:
         save_index(handmade_index, path)
         return path
 
-    def test_rankings_bit_identical_to_eager_v3(self, v4_path):
-        eager = load_index(V3_DATA / "flat" / "idx.json")
-        lazy = load_index(v4_path)
-        a = ContextSearchEngine(eager).search("leukemia | Diseases")
-        b = ContextSearchEngine(lazy).search("leukemia | Diseases")
+    def test_rankings_bit_identical_to_eager_v3(self, tmp_path, v4_path):
+        """The v3 fixture, converted by the upgrade tool, ranks exactly
+        like a fresh v4 save of the same collection."""
+        converted = tmp_path / "v3.bin"
+        upgrade_tool.upgrade(V3_DATA / "flat" / "idx.json", converted)
+        with load_index(converted) as eager, load_index(v4_path) as lazy:
+            a = ContextSearchEngine(eager).search("leukemia | Diseases")
+            b = ContextSearchEngine(lazy).search("leukemia | Diseases")
         assert a.external_ids() == b.external_ids()
         for ha, hb in zip(a.hits, b.hits):
             assert ha.score == hb.score  # bit-identical, not approx
-        lazy.close()
 
     def test_loaded_lists_are_lazy_until_touched(self, v4_path):
         from repro.index.postings import LazyPostingList
