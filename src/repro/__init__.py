@@ -110,7 +110,7 @@ from .index import (
     ShardedInvertedIndex,
     make_partitioner,
 )
-from .core import ShardedEngine, fork_available
+from .core import ShardedEngine
 from .views import CatalogHandle, materialize_sharded_catalogs, replicate_catalog
 from .selection import IncrementalReselector, ReselectionReport
 from .service import (
@@ -223,7 +223,6 @@ __all__ = [
     "HashPartitioner",
     "RangePartitioner",
     "make_partitioner",
-    "fork_available",
     "materialize_sharded_catalogs",
     "replicate_catalog",
     # adaptive selection

@@ -32,10 +32,10 @@ materialisations and posting columns across queries::
 
 ``index --shards N`` partitions the collection and writes a sharded
 index (manifest + one file per shard); ``search``/``batch``/``stats``
-auto-detect sharded artefacts and run the parallel
-:class:`~repro.core.sharded_engine.ShardedEngine` (``--executor`` picks
-the backend).  A flat index can also be re-sharded at load time with
-``search --shards N``.
+auto-detect sharded artefacts and run the
+:class:`~repro.core.sharded_engine.ShardedEngine`, the in-process
+reference for the cluster (``worker``/``route``).  A flat index can also
+be re-sharded at load time with ``search --shards N``.
 
 ``serve`` runs the asyncio query service (JSON lines over TCP) with
 micro-batching, admission control, deadlines, and the serving cache;
@@ -177,7 +177,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_engine(args: argparse.Namespace, max_workers: Optional[int] = None):
+def _load_engine(args: argparse.Namespace):
     """Build the right engine for ``--index``: flat, sharded, or lifecycle.
 
     A sharded artefact always gets the :class:`ShardedEngine`; a flat one
@@ -186,11 +186,10 @@ def _load_engine(args: argparse.Namespace, max_workers: Optional[int] = None):
     :class:`~repro.lifecycle.engine.LifecycleEngine` over the recovered
     index (``--shards N`` makes its per-snapshot engines sharded).  A
     persisted single-collection catalog is re-materialised per shard
-    (definitions replicate; tuples do not).  ``max_workers`` caps a
-    sharded engine's shard fan-out.
+    (definitions replicate; tuples do not).
 
-    Returns ``(engine, needs_close)`` — engines owning worker pools or a
-    WAL handle must be closed by the caller.
+    Returns ``(engine, needs_close)`` — engines owning an mmap-backed
+    index or a WAL handle must be closed by the caller.
     """
     from .lifecycle import LifecycleEngine, SegmentedIndex
 
@@ -205,7 +204,6 @@ def _load_engine(args: argparse.Namespace, max_workers: Optional[int] = None):
             catalog=catalog,
             num_shards=shards if shards > 1 else 0,
             partitioner=getattr(args, "partitioner", "hash"),
-            executor=getattr(args, "executor", "serial"),
         )
         return engine, True
     if isinstance(index, ShardedInvertedIndex):
@@ -218,14 +216,7 @@ def _load_engine(args: argparse.Namespace, max_workers: Optional[int] = None):
         sharded = None
     if sharded is not None:
         catalogs = replicate_catalog(sharded, catalog) if catalog else None
-        engine = ShardedEngine(
-            sharded,
-            ranking=ranking,
-            catalogs=catalogs,
-            executor=args.executor,
-            max_workers=max_workers,
-        )
-        return engine, True
+        return ShardedEngine(sharded, ranking=ranking, catalogs=catalogs), True
     # Flat engines own the loaded index's resources (a v4 artefact holds
     # an mmap), so the caller must close them too.
     return ContextSearchEngine(index, ranking=ranking, catalog=catalog), True
@@ -258,7 +249,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     report = results.report
     extra = (
         f" shards={engine.sharded_index.num_shards}"
-        f" executor={engine.executor_name}"
         if engine.kind == "sharded"
         else ""
     )
@@ -332,7 +322,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    engine, needs_close = _load_engine(args, max_workers=args.workers)
+    engine, needs_close = _load_engine(args)
 
     with open(args.queries, "r", encoding="utf-8") as handle:
         queries = [line.strip() for line in handle if line.strip()]
@@ -965,8 +955,6 @@ def _add_sharding_options(p: argparse.ArgumentParser) -> None:
                    help="re-shard a flat index into N shards at load time "
                         "(sharded artefacts are auto-detected)")
     p.add_argument("--partitioner", choices=("hash", "range"), default="hash")
-    p.add_argument("--executor", choices=("auto", "serial", "thread", "fork"),
-                   default="auto", help="sharded execution backend")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1054,8 +1042,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("context", "conventional", "disjunctive"),
                    default="context")
     p.add_argument("--workers", type=int, default=None,
-                   help="thread-pool size, or for a sharded index the shard "
-                        "fan-out (default: min(8, cpu count); one per shard)")
+                   help="thread-pool size of a flat or lifecycle engine "
+                        "(default: min(8, cpu count)); a sharded engine "
+                        "runs its shards in the calling thread")
     _add_sharding_options(p)
     p.set_defaults(func=_cmd_batch)
 

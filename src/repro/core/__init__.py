@@ -98,7 +98,7 @@ from .topk import (
     TopKDiagnostics,
     exhaustive_disjunctive,
 )
-from .sharded_engine import ShardedEngine, fork_available
+from .sharded_engine import ShardedEngine
 
 __all__ = [
     "SearchBackend",
@@ -176,5 +176,4 @@ __all__ = [
     "TopKDiagnostics",
     "exhaustive_disjunctive",
     "ShardedEngine",
-    "fork_available",
 ]

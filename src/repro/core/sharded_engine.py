@@ -34,8 +34,8 @@ per-term bounds before any shard can prune.
 
 Every shard op is stateless, and each mode's merge is written once, as
 the :meth:`ShardMergePlan.fold` generator.  Two callers run it: this
-module's :class:`ShardedEngine` over an in-process backend, and the
-cluster router over the wire.
+module's :class:`ShardedEngine`, which calls each shard's runtime in the
+calling thread, and the cluster router over the wire.
 
 Every report carries the per-shard breakdown
 (:class:`~repro.core.report.ShardReport` — chosen path, predicted cost,
@@ -49,19 +49,16 @@ all shards the *global* per-term score bounds, so per-shard MaxScore
 prunes identically to (and merges bit-identically with) the single-shard
 scorer.
 
-Three execution backends: ``serial`` (in-process loop), ``thread``
-(pool; parallel I/O but GIL-bound for pure-python scan work), ``fork``
-(forked worker processes, one pool per shard — true CPU parallelism;
-the default where ``fork`` is available).  Backends never change
-results, only wall-clock.
+The engine runs the shards one after another in the calling thread.
+The statistics are distributive over the partition (Theorem 4.1), so
+how the shards are run never changes a ranking, only wall-clock; the
+multi-process shape is the cluster (router plus shard workers), and
+this engine is its in-process reference.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import EmptyContextError, QueryError, ReproError
@@ -128,8 +125,8 @@ _Hit = Tuple[float, int, str]
 
 # The stateless shard ops, named as the cluster wire names them, and the
 # ShardRuntime method serving each.  Every mode starts with a resolve;
-# ShardMergePlan.fold yields the disjunctive top-k.  The in-process
-# backends call the method, the router sends the op.
+# ShardMergePlan.fold yields the disjunctive top-k.  The sharded
+# engine calls the method, the router sends the op.
 OP_SHARD_RESOLVE = "shard_resolve"
 OP_SHARD_TOPK = "shard_topk"
 SHARD_OP_METHODS = {
@@ -151,13 +148,12 @@ class ShardRuntime:
     :class:`~repro.core.operators.ExecutionContext`, so batch context
     sharing and thread budgets reach the operators.
 
-    Lives on both sides of the process boundary: the parent builds the
-    runtimes, the fork backend's per-shard worker inherits them via the
-    module registry, and a cluster shard worker serves one.  Its shard
-    ops (:data:`SHARD_OP_METHODS`) are stateless — every input arrives
-    with the task, and a resolve returns everything the merge needs to
-    score its candidates — so concurrent batches never see each other
-    and any replica can serve any phase.  Only
+    Lives on both sides of the process boundary: the sharded engine
+    calls its runtimes in-process, and a cluster shard worker serves
+    one.  Its shard ops (:data:`SHARD_OP_METHODS`) are stateless —
+    every input arrives with the task, and a resolve returns everything
+    the merge needs to score its candidates — so concurrent batches
+    never see each other and any replica can serve any phase.  Only
     :meth:`resolve_many`/:meth:`score_many` keep a per-qid stash, for
     the staged benchmark that drives one query at a time.
     """
@@ -345,9 +341,9 @@ class ShardRuntime:
         from its local block max-tf metadata (capped by the global term
         bounds — a pure local pruning accelerator).  ``shared_by_qid``
         carries live :class:`SharedTopKThreshold` objects when shards
-        run in the same address space (serial/thread backends); the fork
-        backend omits it — threshold sharing is a pruning accelerator,
-        never a correctness requirement.  Returns ``(qid, hits, counter,
+        run in the same address space (the sharded engine); the cluster
+        omits it — threshold sharing is a pruning accelerator, never a
+        correctness requirement.  Returns ``(qid, hits, counter,
         topk_diag)`` with ``topk_diag`` the shard's
         :class:`~repro.core.topk.TopKDiagnostics` as a plain dict.
         """
@@ -953,152 +949,6 @@ class ShardMergePlan:
         plan.candidates[0].predicted_cost += predicted
 
 
-# -- execution backends --------------------------------------------------------
-
-
-class _SerialBackend:
-    """Run every shard's slice in the calling thread (reference backend)."""
-
-    name = "serial"
-    shares_memory = True
-    # Shard slices that run at once.
-    workers = 1
-
-    def __init__(self, runtimes: Sequence[ShardRuntime], max_workers=None):
-        self._runtimes = list(runtimes)
-
-    def map(self, method: str, payloads: Sequence[list], **kwargs) -> List[list]:
-        return [
-            getattr(runtime, method)(payload, **kwargs)
-            for runtime, payload in zip(self._runtimes, payloads)
-        ]
-
-    def close(self) -> None:
-        pass
-
-
-class _ThreadBackend:
-    """One pool thread per shard slice; shards share the parent's memory."""
-
-    name = "thread"
-    shares_memory = True
-
-    def __init__(
-        self, runtimes: Sequence[ShardRuntime], max_workers: Optional[int] = None
-    ):
-        self._runtimes = list(runtimes)
-        self.workers = _fan_out(len(self._runtimes), max_workers)
-        # Sized as asked, not as ``workers``: concurrent callers (server
-        # threads) each map one slice per shard into the same pool.
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or len(self._runtimes)
-        )
-
-    def map(self, method: str, payloads: Sequence[list], **kwargs) -> List[list]:
-        futures = [
-            self._pool.submit(getattr(runtime, method), payload, **kwargs)
-            for runtime, payload in zip(self._runtimes, payloads)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# Fork-backend plumbing: workers inherit the parent's runtimes through this
-# module-level registry, captured at fork time.  Entries are registered
-# BEFORE any worker process exists and the runtimes' index state is
-# immutable afterwards, so parent and children stay consistent.
-_FORK_REGISTRY: Dict[int, List[ShardRuntime]] = {}
-_FORK_KEYS = itertools.count()
-
-
-def _fork_call(key: int, shard_id: int, method: str, payload: list) -> list:
-    runtime = _FORK_REGISTRY[key][shard_id]
-    return getattr(runtime, method)(payload)
-
-
-def fork_available() -> bool:
-    """Whether the copy-on-write fork backend can run on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-class _ForkBackend:
-    """Forked worker processes: one single-process pool per shard, or
-    ``max_workers`` pools with shard ``i`` on pool ``i % max_workers``.
-
-    Every shard op is stateless, so affinity is not needed for
-    correctness; a fixed pool per shard keeps each shard's runtime (and
-    its per-term cache) warm in one child.  Fork (not spawn) start: children
-    get the built indexes by copy-on-write page sharing instead of
-    pickling gigabytes of postings; per-query inputs and outputs,
-    candidate features included, are pickled.
-    """
-
-    name = "fork"
-    shares_memory = False
-
-    def __init__(
-        self, runtimes: Sequence[ShardRuntime], max_workers=None
-    ):
-        if not fork_available():
-            raise QueryError("fork start method unavailable on this platform")
-        self.workers = _fan_out(len(runtimes), max_workers)
-        self._key = next(_FORK_KEYS)
-        _FORK_REGISTRY[self._key] = list(runtimes)
-        context = multiprocessing.get_context("fork")
-        self._pools = [
-            ProcessPoolExecutor(max_workers=1, mp_context=context)
-            for _ in range(self.workers)
-        ]
-
-    def map(self, method: str, payloads: Sequence[list], **kwargs) -> List[list]:
-        # kwargs carry live in-memory objects (shared thresholds) that
-        # cannot cross a process boundary; callers never pass them to this
-        # backend, and dropping them is always result-preserving.
-        pools = self._pools
-        futures = [
-            pools[shard_id % len(pools)].submit(
-                _fork_call, self._key, shard_id, method, payload
-            )
-            for shard_id, payload in enumerate(payloads)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=True)
-        _FORK_REGISTRY.pop(self._key, None)
-
-
-def _fan_out(num_shards: int, max_workers: Optional[int]) -> int:
-    """Shard slices of one call a parallel backend runs at once: one per
-    shard, capped at ``max_workers``."""
-    if max_workers is None:
-        return num_shards
-    if max_workers < 1:
-        raise QueryError(f"max_workers must be >= 1, got {max_workers}")
-    return min(max_workers, num_shards)
-
-
-_BACKENDS = {
-    "serial": _SerialBackend,
-    "thread": _ThreadBackend,
-    "fork": _ForkBackend,
-}
-
-
-def _pick_backend(executor: str):
-    if executor == "auto":
-        return _ForkBackend if fork_available() else _ThreadBackend
-    cls = _BACKENDS.get(executor)
-    if cls is None:
-        raise QueryError(
-            f"unknown executor {executor!r} (have auto, {sorted(_BACKENDS)})"
-        )
-    return cls
-
-
 # -- the engine ----------------------------------------------------------------
 
 
@@ -1107,9 +957,10 @@ class ShardedEngine:
     to :class:`~repro.core.engine.ContextSearchEngine` on the same corpus.
 
     ``catalogs`` (optional) is one :class:`ViewCatalog` per shard — see
-    :func:`repro.views.sharding.materialize_sharded_catalogs`.  ``executor``
-    selects the backend (``auto``/``serial``/``thread``/``fork``); call
-    :meth:`close` (or use as a context manager) to release worker pools.
+    :func:`repro.views.sharding.materialize_sharded_catalogs`.  Every
+    shard op runs in the calling thread; the ops are stateless, so
+    concurrent callers can share one engine.  Call :meth:`close` (or use
+    as a context manager) to release the shard indexes' resources.
     """
 
     # The engine shape, as healthz and the CLI report it.
@@ -1120,8 +971,6 @@ class ShardedEngine:
         sharded_index: ShardedInvertedIndex,
         ranking: Optional[RankingFunction] = None,
         catalogs: Optional[Sequence[Optional[ViewCatalog]]] = None,
-        executor: str = "auto",
-        max_workers: Optional[int] = None,
     ):
         if not sharded_index.committed:
             raise QueryError("all shards must be committed before searching")
@@ -1139,10 +988,6 @@ class ShardedEngine:
             )
             for i, shard in enumerate(sharded_index.shards)
         ]
-        self._backend = _pick_backend(executor)(self.runtimes, max_workers)
-        # Shard slices one call runs at once (BatchReport.workers), fixed
-        # with the backend at construction.
-        self._workers = self._backend.workers
         self._authority = VersionAuthority(
             epoch_source=lambda: self.sharded_index.epoch
         )
@@ -1153,10 +998,6 @@ class ShardedEngine:
         self._predicate_analyzer = sharded_index.shards[0].index.predicate_analyzer
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def executor_name(self) -> str:
-        return self._backend.name
 
     @property
     def epoch(self) -> int:
@@ -1172,13 +1013,6 @@ class ShardedEngine:
     def version(self) -> VersionVector:
         """The engine's :class:`~repro.core.backend.VersionVector`."""
         return self._authority.vector()
-
-    @property
-    def supports_hot_swap(self) -> bool:
-        """Fork workers hold copy-on-write runtimes captured at fork
-        time — a parent-side swap can never reach them, so that shape
-        refuses hot-swaps loudly rather than serve a stale catalog."""
-        return self._backend.shares_memory
 
     # The adaptive controller must not reselect over a shard's partial
     # index: view definitions are chosen against whole-collection
@@ -1200,14 +1034,6 @@ class ShardedEngine:
         pre-materialised catalog per shard, or ``None`` to drop every
         shard's catalog.  Bumps and returns the catalog generation.
         """
-        if not self.supports_hot_swap:
-            raise QueryError(
-                f"catalog hot-swap is not supported on the "
-                f"{self._backend.name!r} executor: forked shard workers "
-                "hold copy-on-write runtimes captured at fork time and "
-                "would keep serving the old catalog (use the serial or "
-                "thread executor for adaptive selection)"
-            )
         if isinstance(catalog, ViewCatalog):
             from ..views.sharding import (
                 catalog_definitions,
@@ -1233,9 +1059,7 @@ class ShardedEngine:
         return self._authority.bump_catalog(generation)
 
     def close(self) -> None:
-        """Release backend worker pools and shard index resources
-        (idempotent)."""
-        self._backend.close()
+        """Release the shard indexes' resources (idempotent)."""
         closer = getattr(self.sharded_index, "close", None)
         if closer is not None:
             closer()
@@ -1316,9 +1140,8 @@ class ShardedEngine:
         Outcomes come back in input order; per-query failures (empty
         context, stopword-only keywords, …) are recorded, never raised.
         ``max_workers`` is accepted for the shared batch signature and
-        ignored: the fan-out is the shard backend's, fixed at
-        construction, and the report's ``workers`` is that fan-out (1
-        for the serial backend).
+        ignored: the shards run one at a time in the calling thread, so
+        the report's ``workers`` is 1.
         """
         if mode not in ("context", "conventional", "disjunctive"):
             raise QueryError(f"unknown batch mode: {mode!r}")
@@ -1340,7 +1163,7 @@ class ShardedEngine:
         return BatchReport(
             outcomes=outcomes,
             mode=mode,
-            workers=self._workers,
+            workers=1,
             elapsed_seconds=elapsed,
         )
 
@@ -1359,9 +1182,7 @@ class ShardedEngine:
         tasks = [
             (0, tuple(keywords), tuple(context.predicates), tuple(specs), False, None)
         ]
-        shard_outputs = self._backend.map(
-            "stats_many", [list(tasks)] * self.sharded_index.num_shards
-        )
+        shard_outputs = [runtime.stats_many(tasks) for runtime in self.runtimes]
         merged = StatsMerge.merge([out[0][1] for out in shard_outputs], specs)
         if StatsMerge.cardinality_of(merged, specs) <= 0:
             raise EmptyContextError(f"context {context} matches no documents")
@@ -1444,14 +1265,11 @@ class ShardedEngine:
             try:
                 while True:
                     op, shard_tasks, qids = fold.send(replies)
-                    kwargs = {}
-                    if op == OP_SHARD_TOPK and self._backend.shares_memory:
-                        # Live cross-shard thresholds: a pruning
-                        # accelerator for same-address-space backends.
-                        kwargs["shared_by_qid"] = {
-                            qid: plan.shared_threshold() for qid in qids
-                        }
-                    replies = self._map(op, shard_tasks, **kwargs)
+                    # Live cross-shard thresholds: the shards share this
+                    # address space, so each query's pruning bound is one
+                    # object all of them raise.
+                    shared = {qid: plan.shared_threshold() for qid in qids}
+                    replies = self._map(op, shard_tasks, shared_by_qid=shared)
             except StopIteration as done:
                 for qid, outcome in done.value.items():
                     results[qid] = outcome
@@ -1459,14 +1277,19 @@ class ShardedEngine:
         elapsed = time.perf_counter() - started
         for result in results:
             if isinstance(result, SearchResults):
-                # Shards run interleaved, so per-query wall-clock is not
-                # observable; every report carries the batch wall-clock.
+                # A batch's queries run interleaved, so per-query
+                # wall-clock is not observable; every report carries the
+                # batch wall-clock.
                 result.report.elapsed_seconds = elapsed
         return results  # type: ignore[return-value]
 
     def _map(self, op: str, tasks: Sequence[list], **kwargs) -> List[dict]:
         """Run one shard op on every shard; ``{qid: row after qid}`` each."""
-        outputs = self._backend.map(SHARD_OP_METHODS[op], tasks, **kwargs)
+        method = SHARD_OP_METHODS[op]
+        outputs = [
+            getattr(runtime, method)(payload, **kwargs)
+            for runtime, payload in zip(self.runtimes, tasks)
+        ]
         return [{row[0]: row[1:] for row in output} for output in outputs]
 
 

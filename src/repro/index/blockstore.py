@@ -378,10 +378,6 @@ class _LazyFieldTokens(dict):
         self._load()
         return dict.__repr__(self)
 
-    def __reduce__(self):
-        # Pickle (fork/spawn executors) as a plain, fully-decoded dict.
-        return (dict, (self.copy(),))
-
 
 class _LazyDocumentStore(DocumentStore):
     """A :class:`DocumentStore` over a block file; shells build on demand.
@@ -512,10 +508,6 @@ class _LazyPostingMap(MutableMapping):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __reduce__(self):
-        # Pickle (fork/spawn executors) as a plain, fully-built dict.
-        return (dict, (dict(self.items()),))
 
 
 class BlockFile:

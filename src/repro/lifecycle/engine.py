@@ -55,14 +55,12 @@ class LifecycleEngine:
         catalog=None,
         num_shards: int = 0,
         partitioner: str = "hash",
-        executor: str = "serial",
     ):
         self.index = index
         self.ranking = ranking
         self.catalog = catalog
         self.num_shards = num_shards
         self.partitioner = partitioner
-        self.executor = executor
         self._lock = threading.RLock()
         self._engine = None
         self._engine_version: Optional[int] = None
@@ -237,7 +235,6 @@ class LifecycleEngine:
             sharded_index,
             ranking=self.ranking,
             catalogs=catalogs,
-            executor=self.executor,
         )
 
     def close(self) -> None:

@@ -30,9 +30,10 @@ Triggers, checked in order:
     heuristic) — view definitions may have gone stale-shaped even if
     the workload has not moved.
 
-The fork shard executor is rejected at construction: its worker
-processes hold copy-on-write runtimes captured at fork time, so a
-parent-side swap would silently never reach them.
+Shapes that shard or remote the collection (the sharded engine, the
+router) declare ``needs_reference_index``: selection then scans the
+whole-collection reference index, and the construction fails without
+one.
 """
 
 from __future__ import annotations
@@ -230,9 +231,7 @@ class AdaptiveSelectionController:
 
     def _validate_engine(self) -> None:
         """Every backend installs through the one SearchBackend entry
-        point; constraints are declared, not type-sniffed:
-        ``supports_hot_swap`` (False for the fork shard executor, whose
-        copy-on-write workers cannot observe a parent-side swap) and
+        point; its one constraint is declared, not type-sniffed:
         ``needs_reference_index`` (True for shapes that shard or remote
         the collection, where selection must scan the whole-collection
         reference index)."""
@@ -240,15 +239,6 @@ class AdaptiveSelectionController:
             raise QueryError(
                 f"engine {type(self.engine).__name__} has no catalog swap "
                 "entry point (install_catalog)"
-            )
-        if not getattr(self.engine, "supports_hot_swap", True):
-            backend = getattr(self.engine, "_backend", None)
-            name = getattr(backend, "name", type(self.engine).__name__)
-            raise QueryError(
-                "adaptive selection is not supported on the "
-                f"{name!r} shard executor: forked workers "
-                "cannot observe catalog hot-swaps (use serial or "
-                "thread)"
             )
         if (
             getattr(self.engine, "needs_reference_index", False)

@@ -426,11 +426,9 @@ class RouterService(QueryService):
     ``router`` sections of ``healthz`` and ``metrics``.
     """
 
-    # SearchBackend constraint declarations for the adaptive controller:
-    # the router can always hot-swap (workers re-materialise on install),
-    # but selection must scan the whole-collection reference index —
-    # the router holds no local index at all.
-    supports_hot_swap = True
+    # SearchBackend constraint declaration for the adaptive controller:
+    # selection must scan the whole-collection reference index — the
+    # router holds no local index at all.
     needs_reference_index = True
     # The shape healthz reports (and the adaptive controller reads).
     kind = "router"

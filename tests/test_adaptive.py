@@ -28,7 +28,6 @@ from repro import (
     WorkloadRecorder,
     build_index,
     evaluate_coverage,
-    fork_available,
     materialize_view,
     needs_reselection,
     replicate_catalog,
@@ -374,7 +373,7 @@ class TestShardedEngineSwap:
         self, handmade_index, sharded
     ):
         catalog = digestive_catalog(handmade_index)
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             before = engine.search(QUERY, top_k=6)
             assert (
                 before.report.resolution.path == "sharded-straightforward"
@@ -394,17 +393,9 @@ class TestShardedEngineSwap:
             assert_same_ranking(after, before)
 
     def test_swap_catalogs_validates_count(self, sharded):
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             with pytest.raises(QueryError):
                 engine.install_catalog([None])  # 1 catalog for 3 shards
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="fork start method missing"
-    )
-    def test_fork_backend_refuses_swap(self, sharded):
-        with ShardedEngine(sharded, executor="fork") as engine:
-            with pytest.raises(QueryError, match="fork"):
-                engine.install_catalog(None)
 
 
 class TestLifecycleEngineSwap:
@@ -629,7 +620,7 @@ class TestAdaptiveController:
         sharded = ShardedInvertedIndex.from_index(
             handmade_index, 2, partitioner="hash"
         )
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             with pytest.raises(QueryError, match="reference"):
                 self.controller(engine)
 
@@ -639,7 +630,7 @@ class TestAdaptiveController:
         sharded = ShardedInvertedIndex.from_index(
             handmade_index, 2, partitioner="hash"
         )
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             controller = AdaptiveSelectionController(
                 engine,
                 IncrementalReselector(storage_budget=100_000),
@@ -657,21 +648,6 @@ class TestAdaptiveController:
                 "sharded-mixed",
             )
             assert_same_ranking(after, before)
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="fork start method missing"
-    )
-    def test_fork_backend_rejected_at_construction(self, handmade_index):
-        sharded = ShardedInvertedIndex.from_index(
-            handmade_index, 2, partitioner="hash"
-        )
-        with ShardedEngine(sharded, executor="fork") as engine:
-            with pytest.raises(QueryError, match="fork"):
-                AdaptiveSelectionController(
-                    engine,
-                    IncrementalReselector(storage_budget=10),
-                    reference_index=handmade_index,
-                )
 
     def test_engine_without_swap_entry_point_rejected(self):
         with pytest.raises(QueryError, match="swap"):

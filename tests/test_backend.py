@@ -200,7 +200,7 @@ class TestShardedConformance:
         sharded = ShardedInvertedIndex.from_index(
             index, 2, partitioner="hash"
         )
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             before = ranking_of(engine)
             # A whole-collection catalog: definitions re-materialise
             # per shard inside install_catalog.
@@ -239,7 +239,7 @@ class TestClusterConformance:
             router,
         ):
             service = router.service
-            reference = ShardedEngine(sharded, executor="serial")
+            reference = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 client.request({"op": "healthz"})  # populate replica info
@@ -300,7 +300,7 @@ def _sharded():
     sharded = ShardedInvertedIndex.from_index(
         build_index(HANDMADE_DOCS), 2, partitioner="hash"
     )
-    engine = ShardedEngine(sharded, executor="serial")
+    engine = ShardedEngine(sharded)
     return engine, engine.close
 
 

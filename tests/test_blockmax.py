@@ -122,7 +122,7 @@ class TestEngineBitIdentity:
         assert off.report.topk["block_max"] is False
         for shards in (1, 2, 3, 8):
             sharded = ShardedInvertedIndex.from_index(index, shards, "hash")
-            with ShardedEngine(sharded, executor="serial") as engine:
+            with ShardedEngine(sharded) as engine:
                 s_on = engine.search_disjunctive(
                     QUERY, top_k=k, block_max=True
                 )
@@ -262,7 +262,7 @@ class TestDiagnostics:
 
     def test_sharded_report_merges_per_shard_counters(self, spike_index):
         sharded = ShardedInvertedIndex.from_index(spike_index, 3, "hash")
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             report = engine.search_disjunctive(
                 QUERY, top_k=5, block_max=True
             ).report

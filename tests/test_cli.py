@@ -120,10 +120,10 @@ class TestShardedPipeline:
         flat_out = capsys.readouterr().out
         assert main([
             "search", probe_query, "--index", sharded_index_path,
-            "--top-k", "5", "--executor", "serial",
+            "--top-k", "5",
         ]) == 0
         sharded_out = capsys.readouterr().out
-        assert "shards=3 executor=serial" in sharded_out
+        assert " shards=3" in sharded_out
         flat_hits = [l for l in flat_out.splitlines() if "score=" in l]
         sharded_hits = [l for l in sharded_out.splitlines() if "score=" in l]
         assert flat_hits == sharded_hits
@@ -134,9 +134,8 @@ class TestShardedPipeline:
         assert main([
             "search", probe_query, "--index", artefacts["index"],
             "--top-k", "5", "--shards", "4", "--partitioner", "range",
-            "--executor", "serial",
         ]) == 0
-        assert "shards=4 executor=serial" in capsys.readouterr().out
+        assert " shards=4" in capsys.readouterr().out
 
     def test_sharded_batch(
         self, sharded_index_path, probe_query, tmp_path, capsys
@@ -147,19 +146,18 @@ class TestShardedPipeline:
         )
         assert main([
             "batch", "--queries", str(queries),
-            "--index", sharded_index_path, "--executor", "serial",
-            "--top-k", "5",
+            "--index", sharded_index_path, "--top-k", "5",
         ]) == 0
         out = capsys.readouterr().out
         assert "ok    " in out
         assert "error " in out
-        assert "workers=1" in out  # serial: one shard at a time
+        assert "workers=1" in out  # the shards run one at a time
 
     def test_batch_workers_cap_the_shard_fan_out(
         self, artefacts, probe_query, tmp_path, capsys
     ):
-        """``--workers 1`` over two shards runs one shard at a time, on
-        the default executor too, and the report says so."""
+        """A sharded engine runs one shard at a time whatever
+        ``--workers`` asks, and the report says so."""
         queries = tmp_path / "queries.txt"
         queries.write_text(f"{probe_query}\n")
         assert main([
@@ -282,6 +280,45 @@ class TestServing:
                     response = client.query(f"disease | {predicate}")
                     assert response["status"] in ("ok", "error")
         finally:
+            engine.close()
+
+
+    def test_adaptive_over_load_time_shards(self, artefacts):
+        """``serve --shards 2 --adaptive`` with default flags builds the
+        adaptive controller over the sharded engine, and a reselection
+        pass hot-swaps per-shard catalogs without changing a ranking."""
+        from repro.cli import _adaptive_controller, _load_engine, build_parser
+
+        args = build_parser().parse_args([
+            "serve", "--index", artefacts["index"], "--shards", "2",
+            "--adaptive", "--port", "0",
+        ])
+        engine, _ = _load_engine(args)
+        assert engine.kind == "sharded"
+        reference = None
+        try:
+            controller, reference = _adaptive_controller(args, engine, None)
+            assert reference is not None
+            predicate = max(
+                reference.predicate_vocabulary,
+                key=reference.predicate_frequency,
+            )
+            term = max(
+                list(reference.vocabulary)[:100],
+                key=reference.document_frequency,
+            )
+            query = f"{term} | {predicate}"
+            before = engine.search(query, top_k=5)
+            controller.recorder.record([predicate], context_size=1)
+            assert controller.run_once(trigger="manual") is not None
+            assert engine.catalog_generation == 1
+            after = engine.search(query, top_k=5)
+            assert [(h.doc_id, h.score) for h in after.hits] == [
+                (h.doc_id, h.score) for h in before.hits
+            ]
+        finally:
+            if reference is not None:
+                reference.close()
             engine.close()
 
 

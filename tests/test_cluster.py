@@ -248,7 +248,7 @@ class TestBitIdentity:
         with running_cluster(
             handmade_index, num_shards, replication
         ) as (sharded, _groups, router):
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 for mode in MODES:
@@ -264,7 +264,7 @@ class TestBitIdentity:
             _groups,
             router,
         ):
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 # Only 'straightforward' is forceable here: these
@@ -306,7 +306,7 @@ class TestBitIdentity:
             _groups,
             router,
         ):
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             compared = 0
             try:
@@ -343,7 +343,7 @@ class TestFailover:
             groups,
             router,
         ):
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 # Warm: both replicas answer.
@@ -407,7 +407,7 @@ class TestFailover:
         ):
             # Shard 0's first replica is the first one the router tries.
             address = drop_statistic_values(groups[0][0])
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 for mode in MODES:
@@ -452,7 +452,7 @@ class TestFailover:
         ):
             # Shard 0's first replica is the first one the router tries.
             address = corrupt_features(groups[0][0], BAD_FEATURES[fault])
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 for mode in ("context", "conventional"):
@@ -1095,7 +1095,7 @@ class TestClusterCoherence:
             router,
         ):
             flat = ContextSearchEngine(handmade_index)
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 # Before: cluster == in-process sharded == single-node.
@@ -1246,7 +1246,7 @@ class TestClusterCoherence:
             _groups,
             router,
         ):
-            engine = ShardedEngine(sharded, executor="serial")
+            engine = ShardedEngine(sharded)
             client = ServiceClient(*router.address)
             try:
                 for query in QUERIES:

@@ -3,7 +3,7 @@
 A shard's resolve returns its candidates' scoring inputs (global id,
 length, external id, one tf column per query term) and the merge scores
 them under the merged statistics with the query's prepared scorer.  For
-every ranking model, every ``top_k``, shard count and backend, the hits
+every ranking model, every ``top_k`` and shard count, the hits
 and their float scores must be ``==`` to the flat engine's: the prepared
 scorer gets the same integer inputs either way.
 """
@@ -18,7 +18,6 @@ from repro import (
     ContextSearchEngine,
     ShardedEngine,
     ShardedInvertedIndex,
-    fork_available,
 )
 from repro.core.ranking import (
     BM25,
@@ -32,16 +31,6 @@ MODELS = {
     "bm25": BM25,
     "dirichlet": DirichletLanguageModel,
 }
-BACKENDS = (
-    "serial",
-    "thread",
-    pytest.param(
-        "fork",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="fork start method missing"
-        ),
-    ),
-)
 
 
 def answer(search, query: str, top_k):
@@ -80,15 +69,14 @@ def flat_engines(corpus_index):
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_shards", (2, 3))
 def test_hits_and_scores_equal_the_flat_engine(
-    corpus_index, pools, flat_engines, num_shards, backend
+    corpus_index, pools, flat_engines, num_shards
 ):
     terms, predicates = pools
     sharded = ShardedInvertedIndex.from_index(corpus_index, num_shards)
     engines = {
-        name: ShardedEngine(sharded, ranking=cls(), executor=backend)
+        name: ShardedEngine(sharded, ranking=cls())
         for name, cls in MODELS.items()
     }
 

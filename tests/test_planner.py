@@ -257,7 +257,6 @@ class TestPathForcingIdentity:
         engine = ShardedEngine(
             sharded,
             catalogs=replicate_catalog(sharded, catalog),
-            executor="serial",
         )
         try:
             for query in queries:
@@ -270,7 +269,7 @@ class TestPathForcingIdentity:
 
     def test_sharded_force_views_without_catalogs_raises(self, corpus_index):
         sharded = ShardedInvertedIndex.from_index(corpus_index, 2)
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             with pytest.raises(QueryError, match="views"):
                 engine.search("anything | whatever", path=PATH_VIEWS)
 
@@ -390,7 +389,6 @@ class TestScoringBitIdentity:
                 sharded,
                 ranking=ranking,
                 catalogs=replicate_catalog(sharded, catalog),
-                executor="serial",
             )
         try:
             for query in queries:
@@ -458,7 +456,6 @@ class TestUnifiedReport:
         engine = ShardedEngine(
             sharded,
             catalogs=replicate_catalog(sharded, catalog),
-            executor="serial",
         )
         try:
             report = engine.search(queries[0]).report
@@ -581,8 +578,6 @@ class TestExplainCLI:
                 catalog_path,
                 "--shards",
                 "2",
-                "--executor",
-                "serial",
             ]
         )
         out = capsys.readouterr().out

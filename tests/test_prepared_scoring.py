@@ -313,7 +313,7 @@ class TestCandidatesArriveAscending:
             return real(index, terms, result_ids)
 
         monkeypatch.setattr(sharded_engine_module, "gather_features", spy)
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             engine.search(f"{term} | {predicate}")
         assert len(calls) == 3
         assert_ascending(calls)

@@ -918,7 +918,7 @@ class TestShardedService:
         sharded = ShardedInvertedIndex.from_index(
             corpus_index, 3, partitioner="hash"
         )
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             service = make_service(engine)
             try:
                 responses = [

@@ -24,7 +24,6 @@ from repro import (
     ShardedInvertedIndex,
     WideSparseTable,
     ViewCatalog,
-    fork_available,
     generate_corpus,
     load_any_index,
     load_index,
@@ -221,9 +220,7 @@ class TestBitIdenticalProperty:
                 expected[i]["disjunctive"] = hit_tuples(dis)
 
         for (n, name), sharded in sharded_variants.items():
-            with ShardedEngine(
-                sharded, ranking=model_cls(), executor="serial"
-            ) as engine:
+            with ShardedEngine(sharded, ranking=model_cls()) as engine:
                 for i, query in enumerate(queries):
                     ctx = engine.search(query)
                     assert (
@@ -253,7 +250,7 @@ class TestBitIdenticalProperty:
         contexts = [q.context for q in random_stack["queries"][:4]]
         keyword_sets = [list(q.keywords) for q in random_stack["queries"][:4]]
         for (n, name), sharded in sharded_variants.items():
-            with ShardedEngine(sharded, executor="serial") as engine:
+            with ShardedEngine(sharded) as engine:
                 for context, keywords in zip(contexts, keyword_sets):
                     assert stats_tuple(
                         engine.context_statistics(context, keywords)
@@ -265,7 +262,7 @@ class TestBitIdenticalProperty:
         reference = ContextSearchEngine(random_stack["index"])
         query = random_stack["queries"][0]
         sharded = sharded_variants[(3, "hash")]
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             for k in (1, 3, 10):
                 assert hit_tuples(engine.search(query, top_k=k)) == hit_tuples(
                     reference.search(query, top_k=k)
@@ -273,46 +270,25 @@ class TestBitIdenticalProperty:
 
 
 # ---------------------------------------------------------------------------
-# Execution backends never change answers
+# One engine, concurrent callers: batches never see each other
 
 
 MODES = ("context", "conventional", "disjunctive")
 
 
-def answer_signature(results, mode):
-    """Hits plus the whole report, bar the wall-clock field.
-
-    Disjunctive top-k also drops its pruning work counts: backends that
-    share memory pass shards one live threshold, a pruning accelerator
-    whose effect depends on shard order and thread timing, and the fork
-    backend has none.  Hits and every other report field still match.
-    """
+def answer_signature(results):
+    """Hits plus the whole report, bar the wall-clock field."""
     report = results.report.to_dict()
     del report["elapsed_seconds"]
-    if mode == "disjunctive":
-        del report["counter"], report["topk"]
-        for shard in report["per_shard"]:
-            del shard["counter"], shard["result_size"]
     return hit_tuples(results), report
 
 
 def batch_signature(batch):
     """Every slot of a ``search_many`` batch: its error or its answer."""
     return [
-        answer_signature(o.results, batch.mode) if o.ok else o.error
+        answer_signature(o.results) if o.ok else o.error
         for o in batch.outcomes
     ]
-
-
-EXECUTORS = (
-    "thread",
-    pytest.param(
-        "fork",
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="fork start method missing"
-        ),
-    ),
-)
 
 
 class TestBackends:
@@ -322,58 +298,18 @@ class TestBackends:
             random_stack["index"], 3, partitioner="hash"
         )
 
-    @pytest.fixture(scope="class")
-    def serial_answers(self, random_stack, sharded):
-        with ShardedEngine(sharded, executor="serial") as engine:
-            return {
-                mode: [
-                    answer_signature(engine.explain(q, mode=mode), mode)
-                    for q in random_stack["queries"]
-                ]
-                for mode in MODES
-            }
-
-    def assert_backend_identical(self, executor, queries, sharded, serial_answers):
-        with ShardedEngine(sharded, executor=executor) as engine:
-            assert engine.executor_name == executor
-            for mode in MODES:
-                got = [
-                    answer_signature(engine.explain(q, mode=mode), mode)
-                    for q in queries
-                ]
-                assert got == serial_answers[mode], mode
-
-    def test_thread_backend_identical(
-        self, random_stack, sharded, serial_answers
-    ):
-        self.assert_backend_identical(
-            "thread", random_stack["queries"], sharded, serial_answers
-        )
-
-    @pytest.mark.skipif(not fork_available(), reason="fork start method missing")
-    def test_fork_backend_identical(
-        self, random_stack, sharded, serial_answers
-    ):
-        self.assert_backend_identical(
-            "fork", random_stack["queries"], sharded, serial_answers
-        )
-
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_concurrent_batches_stay_apart(
-        self, random_stack, sharded, executor, mode
-    ):
+    def test_concurrent_batches_stay_apart(self, random_stack, sharded, mode):
         """Two threads drive different batches through one engine at
-        once; every answer equals the single-threaded serial one (shard
-        ops keep no per-query state that batches could share)."""
+        once; every answer equals the one a lone caller gets (shard ops
+        keep no per-query state that batches could share)."""
         queries = random_stack["queries"]
         batches = [queries[: len(queries) // 2], queries[len(queries) // 2 :]]
-        with ShardedEngine(sharded, executor="serial") as engine:
+        with ShardedEngine(sharded) as engine:
             expected = [
                 batch_signature(engine.search_many(batch, mode=mode))
                 for batch in batches
             ]
-        with ShardedEngine(sharded, executor=executor) as engine:
 
             def run(slot):
                 return [
@@ -398,7 +334,7 @@ class TestBackends:
         assert mismatches == []
 
     def test_close_is_idempotent(self, sharded):
-        engine = ShardedEngine(sharded, executor="thread")
+        engine = ShardedEngine(sharded)
         engine.close()
         engine.close()
 
@@ -432,9 +368,7 @@ class TestShardedViews:
         flat_views = ContextSearchEngine(stack["index"], catalog=stack["catalog"])
         flat_plain = ContextSearchEngine(stack["index"])
         catalogs = replicate_catalog(stack["sharded"], stack["catalog"])
-        with ShardedEngine(
-            stack["sharded"], catalogs=catalogs, executor="serial"
-        ) as engine:
+        with ShardedEngine(stack["sharded"], catalogs=catalogs) as engine:
             sharded_result = engine.search(stack["query"])
             path = sharded_result.report.resolution.path
         flat = flat_views.search(stack["query"])
@@ -457,7 +391,7 @@ class TestErrorParity:
     @pytest.fixture(scope="class")
     def engines(self, corpus_index):
         sharded = ShardedInvertedIndex.from_index(corpus_index, 3)
-        engine = ShardedEngine(sharded, executor="serial")
+        engine = ShardedEngine(sharded)
         yield ContextSearchEngine(corpus_index), engine
         engine.close()
 
@@ -488,7 +422,6 @@ class TestErrorParity:
         with ShardedEngine(
             sharded_index,
             ranking=ALL_RANKING_FUNCTIONS["dirichlet-lm"](),
-            executor="serial",
         ) as engine:
             with pytest.raises(QueryError) as sharded_exc:
                 engine.search_disjunctive("therapy | Diseases")
@@ -521,7 +454,7 @@ class TestSearchMany:
     @pytest.fixture(scope="class")
     def engines(self, random_stack):
         sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
-        engine = ShardedEngine(sharded, executor="serial")
+        engine = ShardedEngine(sharded)
         yield ContextSearchEngine(random_stack["index"]), engine
         engine.close()
 
@@ -530,46 +463,11 @@ class TestSearchMany:
         queries = random_stack["queries"]
         report = engine.search_many(queries, top_k=10)
         assert len(report) == len(queries)
-        assert report.workers == 1  # the serial backend runs one shard at a time
+        assert report.workers == 1  # the shards run one at a time
         for query, outcome in zip(queries, report.outcomes):
             assert outcome.ok
             single = engine.search(query, top_k=10)
             assert hit_tuples(outcome.results) == hit_tuples(single)
-
-    @pytest.mark.parametrize(
-        "executor, max_workers, expected",
-        [("serial", None, 1), ("serial", 3, 1), ("thread", None, 3),
-         ("thread", 2, 2), ("thread", 8, 3)],
-    )
-    def test_report_counts_backend_parallelism(
-        self, random_stack, executor, max_workers, expected
-    ):
-        """``workers`` is how many shard slices run at once, not the
-        shard count."""
-        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
-        with ShardedEngine(
-            sharded, executor=executor, max_workers=max_workers
-        ) as engine:
-            report = engine.search_many(random_stack["queries"][:2])
-        assert report.workers == expected
-
-    def test_invalid_max_workers_rejected(self, random_stack):
-        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
-        with pytest.raises(QueryError, match="max_workers"):
-            ShardedEngine(sharded, executor="thread", max_workers=0)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_backend_honours_max_workers(self, random_stack, engines):
-        _, serial = engines
-        queries = random_stack["queries"][:3]
-        sharded = ShardedInvertedIndex.from_index(random_stack["index"], 3)
-        with ShardedEngine(sharded, executor="fork", max_workers=2) as engine:
-            report = engine.search_many(queries, top_k=10)
-        assert report.workers == 2
-        for query, outcome in zip(queries, report.outcomes):
-            assert hit_tuples(outcome.results) == hit_tuples(
-                serial.search(query, top_k=10)
-            )
 
     def test_batch_records_failures_in_order(self, random_stack, engines):
         _, engine = engines
@@ -618,9 +516,7 @@ class TestShardedStorage:
         assert loaded.partitioner.name == "range"
         assert loaded.num_docs == sharded.num_docs
         query = random_stack["queries"][0]
-        with ShardedEngine(sharded, executor="serial") as a, ShardedEngine(
-            loaded, executor="serial"
-        ) as b:
+        with ShardedEngine(sharded) as a, ShardedEngine(loaded) as b:
             assert hit_tuples(a.search(query)) == hit_tuples(b.search(query))
 
     def test_load_any_index_dispatches(self, tmp_path, random_stack):

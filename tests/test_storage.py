@@ -393,9 +393,7 @@ class TestShardedLoadRobustness:
 
         path, load_sharded_index = saved_sharded
         expected = handmade_engine.search("leukemia | Diseases")
-        with ShardedEngine(
-            load_sharded_index(path), executor="serial"
-        ) as engine:
+        with ShardedEngine(load_sharded_index(path)) as engine:
             got = engine.search("leukemia | Diseases")
         assert [(h.external_id, h.score) for h in got.hits] == [
             (h.external_id, h.score) for h in expected.hits

@@ -76,9 +76,7 @@ def test_sharded_fixture_ranks_like_handmade(tmp_path, handmade_index, ext, mode
         assert list(shard.global_ids) == stored["global_ids"]
         shard.index.close()
     expected = rankings(ContextSearchEngine(handmade_index, ranking=model()))
-    with ShardedEngine(
-        load_sharded_index(converted), ranking=model(), executor="serial"
-    ) as engine:
+    with ShardedEngine(load_sharded_index(converted), ranking=model()) as engine:
         assert rankings(engine) == expected
 
 
